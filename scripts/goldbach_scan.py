@@ -6,10 +6,7 @@ Example:
 """
 
 import argparse
-import collections
-import csv
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -20,24 +17,20 @@ from quadratica import goldbach
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--to", type=int, default=1_000_000)
-    parser.add_argument("--report", default=None, help="CSV path (default: temp file)")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--report", default=None, help="also write the N, I_min, p, q rows to this CSV")
     parser.add_argument("--top", type=int, default=15, help="how many I values to show")
     args = parser.parse_args()
 
-    report = args.report or tempfile.mktemp(suffix=".csv", prefix="goldbach_")
-    summary = goldbach.verify_range(args.to, workers=args.workers, csv_path=report)
+    summary = goldbach.verify_range(args.to, csv_path=args.report)
     print(f"verified {summary.count} even N in [{summary.start}, {summary.stop}] "
           f"in {summary.elapsed:.1f}s")
     print(f"largest minimal I: {summary.max_i} at N = {summary.n_at_max_i}")
-    print(f"report: {report}")
+    if args.report:
+        print(f"report: {args.report}")
 
-    histogram = collections.Counter()
-    with open(report, newline="") as handle:
-        for row in csv.DictReader(handle):
-            histogram[int(row["I_min"])] += 1
-    print(f"\nmost common minimal I (of {len(histogram)} distinct values):")
-    for i, count in histogram.most_common(args.top):
+    common = sorted(summary.histogram, key=lambda entry: -entry[1])[: args.top]
+    print(f"\nmost common minimal I (of {len(summary.histogram)} distinct values):")
+    for i, count in common:
         print(f"  I = {i:>5}: {count:>8} times ({100 * count / summary.count:.2f}%)")
     return 0
 

@@ -60,6 +60,7 @@ class Output:
     lines: list[str]
     data: dict
     rows: Optional[list[list]] = None
+    failed: bool = False  # exit 1 even though the command ran
 
 
 def _quad_json(z: QuadElem) -> dict:
@@ -418,7 +419,7 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
             },
         )
     if args.gb_action == "verify":
-        summary = goldbach.verify_range(args.to, workers=args.workers, csv_path=args.report)
+        summary = goldbach.verify_range(args.to, csv_path=args.report)
         lines = [
             f"verified {summary.count} even numbers in [{summary.start}, {summary.stop}]",
             f"max minimal-I: {summary.max_i} at N = {summary.n_at_max_i}",
@@ -568,7 +569,7 @@ def _cmd_errata(args, cfg: OutputConfig) -> Output:
 
 
 def _cmd_verify(args, cfg: OutputConfig) -> Output:
-    results = verify.run_all(args.scale, goldbach_workers=args.workers)
+    results = verify.run_all(args.scale)
     lines = []
     per_module: dict[str, list[bool]] = {}
     for result in results:
@@ -587,9 +588,7 @@ def _cmd_verify(args, cfg: OutputConfig) -> Output:
         ],
         "ok": not failed,
     }
-    output = Output(lines, data)
-    output.failed = bool(failed)
-    return output
+    return Output(lines, data, failed=bool(failed))
 
 
 # ---------------------------------------------------------------- wiring
@@ -610,20 +609,24 @@ _HANDLERS = {
 }
 
 
-def _shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default=None, help="output format")
-    parser.add_argument("--json", action="store_true", help="shorthand for --format json")
-    parser.add_argument("--csv", action="store_true", help="shorthand for --format csv")
-    parser.add_argument("--precision", type=int, default=12, metavar="N", help="float digits (1..30)")
-    parser.add_argument("--out", metavar="FILE", default=None, help="write output to FILE instead of stdout")
-
-
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that accepts -1/2 and -0.5 as positional values."""
+    """ArgumentParser that accepts -1/2 and -0.5 as positional values.
+
+    Every level, root and subcommands alike, takes the output flags. They
+    default to SUPPRESS, so a flag given before a subcommand is not
+    overwritten by that subcommand's parser; the root holds the real
+    defaults.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.?\d+$")
+        flag = self.add_argument
+        flag("--format", choices=("text", "json", "csv"), default=argparse.SUPPRESS, help="output format")
+        flag("--json", action="store_true", default=argparse.SUPPRESS, help="shorthand for --format json")
+        flag("--csv", action="store_true", default=argparse.SUPPRESS, help="shorthand for --format csv")
+        flag("--precision", type=int, default=argparse.SUPPRESS, metavar="N", help="float digits (1..30)")
+        flag("--out", metavar="FILE", default=argparse.SUPPRESS, help="write output to FILE instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -632,185 +635,142 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact quadratic-equation toolkit: fields, solvers, congruences, "
         "perfect-number and Goldbach parabolas.",
     )
-    _shared_flags(parser)
+    parser.set_defaults(format=None, json=False, csv=False, precision=12, out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subparser(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        _shared_flags(p)
-        return p
-
-    p = subparser("solve", "solve a*x^2 + b*x + c = 0 exactly")
+    p = sub.add_parser("solve", help="solve a*x^2 + b*x + c = 0 exactly")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("c")
 
-    p = subparser("quad", "root shifting, derivative identity, damping, four-family")
+    p = sub.add_parser("quad", help="root shifting, derivative identity, damping, four-family")
     quad_sub = p.add_subparsers(dest="action", required=True)
     ps = quad_sub.add_parser("shift")
-    _shared_flags(ps)
     for name in ("a", "b", "c", "k"):
         ps.add_argument(name)
     ps = quad_sub.add_parser("derivative")
-    _shared_flags(ps)
     for name in ("a", "b", "c"):
         ps.add_argument(name)
     ps = quad_sub.add_parser("ode")
-    _shared_flags(ps)
     for name in ("a", "b", "c"):
         ps.add_argument(name)
     ps = quad_sub.add_parser("family")
-    _shared_flags(ps)
     ps.add_argument("a", help="p > 0")
     ps.add_argument("b", help="q > 0")
 
-    p = subparser("qfield", "exact arithmetic in Q(sqrt(m))")
+    p = sub.add_parser("qfield", help="exact arithmetic in Q(sqrt(m))")
     qf_sub = p.add_subparsers(dest="qf_action", required=True)
     ps = qf_sub.add_parser("make")
-    _shared_flags(ps)
     ps.add_argument("a")
     ps.add_argument("b")
     ps.add_argument("m", type=int)
     ps = qf_sub.add_parser("op")
-    _shared_flags(ps)
     ps.add_argument("operation", choices=("add", "sub", "mul", "div"))
     ps.add_argument("z")
     ps.add_argument("w")
     ps = qf_sub.add_parser("conj")
-    _shared_flags(ps)
     ps.add_argument("z")
     ps = qf_sub.add_parser("coords")
-    _shared_flags(ps)
     ps.add_argument("z")
     ps = qf_sub.add_parser("sqrt")
-    _shared_flags(ps)
     ps.add_argument("m", type=int)
 
-    p = subparser("fib", "Fibonacci power reduction, sums, unit groups")
+    p = sub.add_parser("fib", help="Fibonacci power reduction, sums, unit groups")
     fib_sub = p.add_subparsers(dest="fib_action", required=True)
     ps = fib_sub.add_parser("value")
-    _shared_flags(ps)
     ps.add_argument("n", type=int)
     ps = fib_sub.add_parser("reduce")
-    _shared_flags(ps)
     ps.add_argument("--case", choices=("I", "II"), required=True)
     ps.add_argument("--n", type=int, required=True)
     ps = fib_sub.add_parser("sum")
-    _shared_flags(ps)
     ps.add_argument("--case", choices=("I", "II", "III", "IV"), required=True)
     ps.add_argument("--n", type=int, required=True)
     ps = fib_sub.add_parser("group")
-    _shared_flags(ps)
     ps.add_argument("--case", choices=("III", "IV"), required=True)
 
-    p = subparser("metallic", "metallic means, radicand families, phi ledger")
+    p = sub.add_parser("metallic", help="metallic means, radicand families, phi ledger")
     metal_sub = p.add_subparsers(dest="metal_action", required=True)
     ps = metal_sub.add_parser("table")
-    _shared_flags(ps)
     ps.add_argument("--max-p", dest="max_p", type=int, default=4)
     ps = metal_sub.add_parser("classify")
-    _shared_flags(ps)
     ps.add_argument("m", type=int)
     ps = metal_sub.add_parser("creation")
-    _shared_flags(ps)
     ps.add_argument("m", type=int)
     ps = metal_sub.add_parser("ledger")
-    _shared_flags(ps)
     ps.add_argument("--n", type=int, default=20)
     ps = metal_sub.add_parser("trig")
-    _shared_flags(ps)
 
-    p = subparser("cong", "quadratic congruences mod an odd prime")
+    p = sub.add_parser("cong", help="quadratic congruences mod an odd prime")
     cong_sub = p.add_subparsers(dest="cong_action", required=True)
     ps = cong_sub.add_parser("legendre")
-    _shared_flags(ps)
     ps.add_argument("r", type=int)
     ps.add_argument("p", type=int)
     ps = cong_sub.add_parser("sqrt")
-    _shared_flags(ps)
     ps.add_argument("r", type=int)
     ps.add_argument("p", type=int)
     ps = cong_sub.add_parser("solve")
-    _shared_flags(ps)
     for name in ("a", "b", "c", "p"):
         ps.add_argument(name, type=int)
     ps = cong_sub.add_parser("twosquares")
-    _shared_flags(ps)
     ps.add_argument("p", type=int)
 
-    p = subparser("perfect", "perfect-number parabola: tables, preimages, areas, sampling")
+    p = sub.add_parser("perfect", help="perfect-number parabola: tables, preimages, areas, sampling")
     perf_sub = p.add_subparsers(dest="perfect_action", required=True)
     ps = perf_sub.add_parser("table")
-    _shared_flags(ps)
     ps.add_argument("--max-exp", dest="max_exp", type=int, default=13)
     ps = perf_sub.add_parser("preimage")
-    _shared_flags(ps)
     ps.add_argument("value", type=int)
     ps = perf_sub.add_parser("areas")
-    _shared_flags(ps)
     ps.add_argument("a")
     ps.add_argument("b")
     ps = perf_sub.add_parser("plot")
-    _shared_flags(ps)
     ps.add_argument("--from", dest="start", default="-2")
     ps.add_argument("--to", dest="stop", default="1")
     ps.add_argument("--step", default="1/100")
 
-    p = subparser("goldbach", "witness search, range verification, witness parabolas")
+    p = sub.add_parser("goldbach", help="witness search, range verification, witness parabolas")
     gb_sub = p.add_subparsers(dest="gb_action", required=True)
     ps = gb_sub.add_parser("witness")
-    _shared_flags(ps)
     ps.add_argument("n", type=int)
     ps.add_argument("--all", action="store_true", help="list every witness, not just minimal I")
     ps = gb_sub.add_parser("verify")
-    _shared_flags(ps)
     ps.add_argument("--to", type=int, default=1_000_000)
     ps.add_argument("--report", metavar="CSV", default=None)
-    ps.add_argument("--workers", type=int, default=None)
     ps = gb_sub.add_parser("areas")
-    _shared_flags(ps)
     ps.add_argument("p", type=int)
     ps.add_argument("q", type=int)
     ps = gb_sub.add_parser("hypotenuse")
-    _shared_flags(ps)
     ps.add_argument("n", type=int)
     ps.add_argument("i", type=int)
     ps.add_argument("l", type=int, nargs="?", default=1)
 
-    p = subparser("pnum", "repdigit p-numbers")
+    p = sub.add_parser("pnum", help="repdigit p-numbers")
     pn_sub = p.add_subparsers(dest="pnum_action", required=True)
     ps = pn_sub.add_parser("associate")
-    _shared_flags(ps)
     ps.add_argument("n", type=int)
     ps = pn_sub.add_parser("root")
-    _shared_flags(ps)
     ps.add_argument("n", type=int)
     ps = pn_sub.add_parser("parabola")
-    _shared_flags(ps)
     ps.add_argument("p", type=int)
     ps.add_argument("t", type=int)
 
-    p = subparser("geom", "golden cut, Platonic solids, trajectories")
+    p = sub.add_parser("geom", help="golden cut, Platonic solids, trajectories")
     geom_sub = p.add_subparsers(dest="geom_action", required=True)
     ps = geom_sub.add_parser("platonic")
-    _shared_flags(ps)
     ps.add_argument("solid", choices=sorted(_SOLID_ALIASES))
     ps.add_argument("--edge", default="1")
     ps = geom_sub.add_parser("goldencut")
-    _shared_flags(ps)
     ps.add_argument("length")
     ps = geom_sub.add_parser("trajectory")
-    _shared_flags(ps)
     ps.add_argument("v0", type=float)
     ps.add_argument("beta", type=float)
     ps.add_argument("g", type=float, nargs="?", default=9.8)
     ps.add_argument("--samples", type=int, default=20)
 
-    subparser("errata", "the ledger of source-text discrepancies")
+    sub.add_parser("errata", help="the ledger of source-text discrepancies")
 
-    p = subparser("verify", "run the cross-module invariant suites")
+    p = sub.add_parser("verify", help="run the cross-module invariant suites")
     p.add_argument("--scale", choices=verify.SCALES, default="quick")
-    p.add_argument("--workers", type=int, default=None)
 
     return parser
 
@@ -818,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> OutputConfig:
     fmt = args.format
     if fmt is None:
-        fmt = "json" if getattr(args, "json", False) else ("csv" if getattr(args, "csv", False) else "text")
+        fmt = "json" if args.json else ("csv" if args.csv else "text")
     return OutputConfig(format=fmt, precision=args.precision)
 
 
@@ -851,6 +811,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         output = handler(args, cfg)
+        _render(output, cfg, args.out)
     except (DomainError, ValueError, ZeroDivisionError) as exc:
         if cfg.format == "json":
             envelope = {"error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -858,11 +819,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        _render(output, cfg, args.out)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return 1 if getattr(output, "failed", False) else 0
+    return 1 if output.failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

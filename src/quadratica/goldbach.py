@@ -8,20 +8,21 @@ The search returns the minimal I; the full witness list is available from
 x^2 - (p+q)x + pq whose vertex sits at (M, -I^2), giving the exact area
 bundle A_s = (4/3)I^3, A_r = 2I^3, A_t = I^3.
 
-Primality below the sieve limit is an array lookup; above it, the
-congruence module's deterministic Miller-Rabin takes over. Range
-verification partitions the interval into chunks processed by a process
-pool (capped by the QUADRATICA_THREADS environment variable) and merges
-results in N order.
+Primality below the sieve limit is an array lookup; a single witness
+search above _SIEVE_CAP leaves the sieve alone and tests candidates with
+the deterministic Miller-Rabin instead. Range verification holds the
+primes as the bits of one integer P and resolves every N = 2M of the range
+at once: for I = 0, 1, 2, ... the mask (P >> I) & (P << I) marks each M
+with M + I and M - I both prime, and the first I that marks an M is its
+minimal witness.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import multiprocessing
-import os
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -44,10 +45,10 @@ __all__ = [
     "hypotenuse_number",
     "VerifySummary",
     "verify_range",
-    "default_workers",
 ]
 
 _DEFAULT_SIEVE_LIMIT = 1_000_000 + 10_000  # verification ceiling plus buffer
+_SIEVE_CAP = 10_000_000  # largest n a single witness search grows the sieve to (10 MB)
 
 _sieve: bytearray = bytearray()
 
@@ -63,6 +64,19 @@ def _is_prime_cached(n: int) -> bool:
     if n < len(_sieve):
         return bool(_sieve[n])
     return is_prime(n)
+
+
+class _MillerRabinFlags:
+    """Read-only stand-in for the sieve above _SIEVE_CAP: flags[n] tests n directly."""
+
+    __getitem__ = staticmethod(_is_prime_cached)
+
+
+def _witness_flags(n: int):
+    """Primality flags for 0..n: the sieve, grown to n only up to _SIEVE_CAP."""
+    if n < len(_sieve) or n <= _SIEVE_CAP:
+        return _ensure_sieve(n)
+    return _MillerRabinFlags()
 
 
 def parity_lemma(p: int, q: int) -> tuple[str, str]:
@@ -125,11 +139,12 @@ def find_witness(n: int, sieve: Optional[bytearray] = None) -> GoldbachWitness:
     one decomposition that leaves the odd-prime setting); otherwise I runs
     over the parity class opposite M. Exhausting I < M raises
     NoWitnessFound, which would be a Goldbach counterexample and is worth
-    shouting about.
+    shouting about. Up to _SIEVE_CAP the sieve is grown to n; above it
+    each candidate gets a Miller-Rabin test, so memory stays bounded.
     """
     if n < 4 or n % 2:
         raise ValueError(f"witness targets are even n >= 4, got {n}")
-    flags = sieve if sieve is not None else _ensure_sieve(n)
+    flags = sieve if sieve is not None else _witness_flags(n)
     for witness in _witness_iter(n, flags):
         return witness
     raise NoWitnessFound(f"no witness below M for N={n}: Goldbach counterexample?")
@@ -139,7 +154,7 @@ def witnesses(n: int, sieve: Optional[bytearray] = None) -> list[GoldbachWitness
     """Every witness of n in increasing I order."""
     if n < 4 or n % 2:
         raise ValueError(f"witness targets are even n >= 4, got {n}")
-    flags = sieve if sieve is not None else _ensure_sieve(n)
+    flags = sieve if sieve is not None else _witness_flags(n)
     return list(_witness_iter(n, flags))
 
 
@@ -263,44 +278,31 @@ class VerifySummary:
     n_at_max_i: int
     elapsed: float
     csv_path: Optional[str] = None
+    histogram: tuple[tuple[int, int], ...] = ()  # (I, how many N have minimal witness I)
 
 
-def default_workers() -> int:
-    """Worker count: CPU count capped by QUADRATICA_THREADS when set."""
-    workers = os.cpu_count() or 1
-    cap = os.environ.get("QUADRATICA_THREADS")
-    if cap:
-        try:
-            workers = max(1, min(workers, int(cap)))
-        except ValueError:
-            pass
-    return workers
+def _mark(i_min: array, mask: int, i: int) -> None:
+    """Set i_min[k] = i for every set bit k of mask."""
+    bits = format(mask, "b")[::-1]  # bits[k] is bit k
+    k = bits.find("1")
+    while k >= 0:
+        i_min[k] = i
+        k = bits.find("1", k + 1)
 
 
-def _scan_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, int]]:
-    lo, hi = bounds
-    flags = _ensure_sieve(hi)
-    out = []
-    for n in range(lo, hi + 1, 2):
-        w = find_witness(n, flags)
-        out.append((n, w.I, w.p, w.q))
-    return out
-
-
-def verify_range(
-    stop: int,
-    start: int = 4,
-    workers: Optional[int] = None,
-    csv_path: Optional[str] = None,
-    chunk: int = 50_000,
-) -> VerifySummary:
+def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> VerifySummary:
     """Find the minimal-I witness for every even N in [start, stop].
 
-    The sieve is built once in the parent and shared read-only with the
-    workers (fork); chunks come back in deterministic N order. When
-    csv_path is given, rows N, I_min, p, q are written for the whole range
-    so the minimal-I distribution can be inspected offline. Raises
-    NoWitnessFound if any N fails, i.e. never.
+    One pass in one process over whole-range bitsets: bit k of `primes`
+    is set iff k is prime, and bit M of `unresolved` marks an N = 2M still
+    without a witness. For I = 0, 1, 2, ... the mask
+    found = unresolved & (primes >> I) & (primes << I) holds exactly the M
+    whose minimal witness is I, and those bits leave `unresolved`.
+    found.bit_count() is I's entry in the histogram, and the lowest bit of
+    the last non-empty mask gives n_at_max_i. When csv_path is given, the
+    rows N, I_min, p, q are decoded from the same masks and written in N
+    order. Raises NoWitnessFound, naming the smallest unresolved N, if I
+    passes stop/2 with an N left, i.e. never.
     """
     if start % 2:
         start += 1
@@ -308,46 +310,40 @@ def verify_range(
     if stop < start:
         raise ValueError("empty range")
     t0 = time.perf_counter()
-    _ensure_sieve(stop)
-    bounds = []
-    lo = start
-    while lo <= stop:
-        hi = min(lo + chunk - 2, stop)
-        bounds.append((lo, hi))
-        lo = hi + 2
-    workers = workers if workers is not None else default_workers()
-    if workers > 1 and len(bounds) > 1 and multiprocessing.get_start_method(allow_none=False) == "fork":
-        with multiprocessing.Pool(processes=workers) as pool:
-            chunks = pool.map(_scan_chunk, bounds)
-    else:
-        chunks = [_scan_chunk(b) for b in bounds]
+    flags = _ensure_sieve(stop)
+    primes = int(flags[: stop + 1].translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
+    m_lo, m_hi = start // 2, stop // 2
+    low_primes = primes & ((2 << m_hi) - 1)  # M - I <= m_hi
+    unresolved = ((1 << (m_hi - m_lo + 1)) - 1) << m_lo
+    i_min = array("I", [0]) * (m_hi - m_lo + 1) if csv_path else None
+    histogram = []
+    last = 0
+    i = 0
+    while unresolved:
+        if i > m_hi:
+            n = 2 * ((unresolved & -unresolved).bit_length() - 1)
+            raise NoWitnessFound(f"no witness below M for N={n}: Goldbach counterexample?")
+        found = unresolved & (primes >> i) & (low_primes << i)
+        if found:
+            unresolved ^= found
+            histogram.append((i, found.bit_count()))
+            last = found
+            if i_min is not None:
+                _mark(i_min, found >> m_lo, i)
+        i += 1
 
-    count = 0
-    max_i = -1
-    n_at_max = 0
-    writer = None
-    handle = None
     if csv_path:
-        handle = open(csv_path, "w", newline="")
-        writer = csv.writer(handle)
-        writer.writerow(["N", "I_min", "p", "q"])
-    try:
-        for rows in chunks:
-            for n, i, p, q in rows:
-                count += 1
-                if i > max_i:
-                    max_i, n_at_max = i, n
-                if writer:
-                    writer.writerow([n, i, p, q])
-    finally:
-        if handle:
-            handle.close()
+        with open(csv_path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["N", "I_min", "p", "q"])
+            writer.writerows((2 * m, i, m + i, m - i) for m, i in zip(range(m_lo, m_hi + 1), i_min))
     return VerifySummary(
         start=start,
         stop=stop,
-        count=count,
-        max_i=max_i,
-        n_at_max_i=n_at_max,
+        count=m_hi - m_lo + 1,
+        max_i=histogram[-1][0],
+        n_at_max_i=2 * ((last & -last).bit_length() - 1),
         elapsed=time.perf_counter() - t0,
         csv_path=csv_path,
+        histogram=tuple(histogram),
     )

@@ -451,8 +451,8 @@ def check_h_never_perfect(scan_limit: int) -> CheckResult:
 # ---------------------------------------------------------------- goldbach
 
 
-def check_goldbach_range(stop: int, workers: int | None = None) -> CheckResult:
-    summary = goldbach.verify_range(stop, workers=workers)
+def check_goldbach_range(stop: int) -> CheckResult:
+    summary = goldbach.verify_range(stop)
     expected = (stop - 4) // 2 + 1
     ok = summary.count == expected and summary.max_i >= 0
     return CheckResult(
@@ -556,7 +556,6 @@ def check_geometry() -> CheckResult:
 def run_all(
     scale: str = "quick",
     extra_checks: Iterable[Callable[[], CheckResult]] = (),
-    goldbach_workers: int | None = None,
 ) -> list[CheckResult]:
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}")
@@ -586,7 +585,7 @@ def run_all(
         lambda: check_difference_identity(10_000 if full else 500),
         check_areas_and_constants,
         lambda: check_h_never_perfect(1_000_000 if full else 10_000),
-        lambda: check_goldbach_range(1_000_000 if full else 10_000, workers=goldbach_workers),
+        lambda: check_goldbach_range(1_000_000 if full else 10_000),
         lambda: check_goldbach_areas(1000 if full else 100),
         lambda: check_hypotenuse_identity(1000 if full else 100),
         lambda: check_parity_lemma(),

@@ -57,6 +57,31 @@ class TestSolveCommand:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--json", "goldbach", "witness", "24"),
+            ("goldbach", "--json", "witness", "24"),
+            ("goldbach", "witness", "24", "--json"),
+            ("--format", "json", "goldbach", "witness", "24"),
+        ],
+    )
+    def test_format_flag_at_every_level(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["p"] == 13
+
+    def test_root_flags_reach_the_command(self, capsys, tmp_path):
+        target = tmp_path / "roots.json"
+        code, out, _ = run(capsys, "--json", "--out", str(target), "solve", "1", "-1", "-1")
+        assert code == 0 and out == ""
+        assert json.loads(target.read_text())["roots"]["kind"] == "RealDistinct"
+
+    def test_rowless_csv_is_a_handler_error(self, capsys):
+        code, out, err = run(capsys, "goldbach", "witness", "24", "--csv")
+        assert code == 1 and out == ""
+        assert err == "error: this command has no CSV form\n"
+
 
 class TestQfieldCommands:
     def test_make_and_parse_back(self, capsys):
@@ -112,7 +137,7 @@ class TestGoldbachCommands:
 
     def test_verify_with_report(self, capsys, tmp_path):
         report = tmp_path / "w.csv"
-        code, out, _ = run(capsys, "goldbach", "verify", "--to", "2000", "--report", str(report), "--workers", "1")
+        code, out, _ = run(capsys, "goldbach", "verify", "--to", "2000", "--report", str(report))
         assert code == 0 and "verified 999" in out
         rows = list(csv.reader(report.open()))
         assert rows[0] == ["N", "I_min", "p", "q"]
@@ -270,7 +295,7 @@ class TestErrataCommand:
 
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--scale", "quick", "--workers", "2")
+        code, out, _ = run(capsys, "verify", "--scale", "quick")
         assert code == 0
         assert "30/30 checks passed" in out
 
@@ -286,7 +311,7 @@ class TestVerifyCommand:
         from quadratica.verify import CheckResult
 
         monkeypatch.setattr(
-            cli.verify, "run_all", lambda scale, goldbach_workers=None: [CheckResult("self", "fault", False, "injected")]
+            cli.verify, "run_all", lambda scale: [CheckResult("self", "fault", False, "injected")]
         )
         code, out, _ = run(capsys, "verify")
         assert code == 1

@@ -19,7 +19,7 @@ from quadratica.goldbach import (
     witness_parabola,
     witnesses,
 )
-from quadratica.intmath import sieve_flags
+from quadratica.intmath import is_prime, sieve_flags
 from quadratica.solver import Quadratic, solve
 
 FLAGS = sieve_flags(10_000)
@@ -106,6 +106,18 @@ class TestFindWitness:
             others = witnesses(n)
             assert others[0].I == w.I
             assert all(other.I >= w.I for other in others)
+
+    def test_beyond_sieve_cap_leaves_sieve_alone(self):
+        # a sieve up to n would be a terabyte here; candidates are tested one by one
+        from quadratica import goldbach
+
+        n = 10**12 + 2
+        before = len(goldbach._sieve)
+        w = find_witness(n)
+        assert len(goldbach._sieve) == before
+        assert w.p + w.q == n and is_prime(w.p) and is_prime(w.q)
+        for i in range(w.I % 2, w.I, 2):
+            assert not (is_prime(w.M + i) and is_prime(w.M - i))
 
 
 class TestWitnessParabola:
@@ -212,19 +224,9 @@ class TestHypotenuse:
 
 
 class TestVerifyRange:
-    def test_worker_cap_env_var(self, monkeypatch):
-        from quadratica.goldbach import default_workers
-
-        monkeypatch.setenv("QUADRATICA_THREADS", "1")
-        assert default_workers() == 1
-        monkeypatch.setenv("QUADRATICA_THREADS", "not-a-number")
-        assert default_workers() >= 1
-        monkeypatch.delenv("QUADRATICA_THREADS")
-        assert default_workers() >= 1
-
     def test_small_range_with_csv(self, tmp_path):
         path = tmp_path / "witnesses.csv"
-        summary = verify_range(10_000, csv_path=str(path), workers=1)
+        summary = verify_range(10_000, csv_path=str(path))
         assert summary.count == 4999
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
@@ -234,11 +236,28 @@ class TestVerifyRange:
         n, i, p, q = int(sample["N"]), int(sample["I_min"]), int(sample["p"]), int(sample["q"])
         assert p + q == n and p - q == 2 * i
 
-    def test_parallel_matches_serial(self):
-        serial = verify_range(3000, workers=1)
-        parallel = verify_range(3000, workers=4, chunk=512)
-        assert (serial.count, serial.max_i, serial.n_at_max_i) == (
-            parallel.count,
-            parallel.max_i,
-            parallel.n_at_max_i,
-        )
+    @pytest.mark.parametrize(
+        "start, stop", [(4, 4), (4, 6), (5, 9), (100, 200), (998, 1000), (3, 3000), (4, 10_000)]
+    )
+    def test_rows_match_find_witness(self, tmp_path, start, stop):
+        path = tmp_path / "witnesses.csv"
+        summary = verify_range(stop, start=start, csv_path=str(path))
+        with open(path, newline="") as handle:
+            rows = [tuple(map(int, row)) for row in list(csv.reader(handle))[1:]]
+        evens = range(max(start + start % 2, 4), stop + 1, 2)
+        expected = [(w.N, w.I, w.p, w.q) for w in map(find_witness, evens)]
+        assert rows == expected
+        assert summary.count == len(rows)
+        assert sum(count for _, count in summary.histogram) == summary.count
+        assert max(i for i, _ in summary.histogram) == summary.max_i
+        assert summary.n_at_max_i == min(n for n, i, _, _ in rows if i == summary.max_i)
+
+    def test_doctored_sieve_raises(self, monkeypatch):
+        # with 3 marked composite, N = 6 = 3 + 3 loses its only witness
+        from quadratica import goldbach
+
+        doctored = sieve_flags(2000)
+        doctored[3] = 0
+        monkeypatch.setattr(goldbach, "_sieve", doctored)
+        with pytest.raises(NoWitnessFound, match="N=6:"):
+            verify_range(100)
