@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -574,7 +575,7 @@ def _cmd_verify(args, cfg: OutputConfig) -> Output:
     per_module: dict[str, list[bool]] = {}
     for result in results:
         mark = "PASS" if result.ok else "FAIL"
-        lines.append(f"{mark}  {result.module}.{result.name}  ({result.detail})")
+        lines.append(f"{mark}  {result.module}.{result.name}  ({result.detail})  [{result.elapsed:.2f} s]")
         per_module.setdefault(result.module, []).append(result.ok)
     lines.append("")
     for module, oks in sorted(per_module.items()):
@@ -584,7 +585,8 @@ def _cmd_verify(args, cfg: OutputConfig) -> Output:
     data = {
         "scale": args.scale,
         "results": [
-            {"module": r.module, "name": r.name, "ok": r.ok, "detail": r.detail} for r in results
+            {"module": r.module, "name": r.name, "ok": r.ok, "detail": r.detail, "elapsed": r.elapsed}
+            for r in results
         ],
         "ok": not failed,
     }
@@ -812,6 +814,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         output = handler(args, cfg)
         _render(output, cfg, args.out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (`| head`). Point stdout at devnull so the
+        # flush at interpreter exit cannot fail again, and stop quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (DomainError, ValueError, ZeroDivisionError) as exc:
         if cfg.format == "json":
             envelope = {"error": {"type": type(exc).__name__, "message": str(exc)}}

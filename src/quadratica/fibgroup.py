@@ -70,9 +70,13 @@ def fib(n: int) -> int:
     """Fibonacci numbers with seeds f0 = f1 = 1: 1, 1, 2, 3, 5, 8, 13, ..."""
     if n < 0:
         raise NegativeIndex(f"fib index must be >= 0, got {n}")
-    a, b = 1, 1
-    for _ in range(n):
-        a, b = b, a + b
+    # fib(n) is the zero-based F(n+1); fast doubling walks the bits of n+1
+    # with (F(k), F(k+1)) -> (F(2k), F(2k+1)) = (F(k)(2F(k+1) - F(k)), F(k)^2 + F(k+1)^2)
+    a, b = 0, 1
+    for bit in bin(n + 1)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
     return a
 
 

@@ -38,7 +38,7 @@ def golden_cut(length: Union[RatLike, QuadElem]) -> tuple[QuadElem, QuadElem]:
     asserted before returning.
     """
     total = length if isinstance(length, QuadElem) else QuadElem.from_rational(rational(length))
-    if float(total) <= 0:
+    if total.sign() <= 0:
         raise NonPositiveLength("cut length must be > 0")
     a = total / _PHI
     b = total - a
@@ -62,7 +62,7 @@ class RadicalExpr:
         object.__setattr__(self, "scale", rational(self.scale))
         inner = self.inner if isinstance(self.inner, QuadElem) else QuadElem.from_rational(self.inner)
         object.__setattr__(self, "inner", inner)
-        if float(inner) < 0:
+        if inner.sign() < 0:
             raise ValueError("inner radical must be nonnegative")
 
     def squared(self) -> QuadElem:

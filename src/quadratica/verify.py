@@ -12,7 +12,8 @@ which doubles as its own fault-injection self-test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -32,6 +33,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
+    elapsed: float = 0.0  # seconds, filled in by run_all
 
 
 def _rand_frac(rng: random.Random, span: int = 99, den: int = 30) -> Fraction:
@@ -593,4 +595,9 @@ def run_all(
         check_geometry,
     ]
     checks.extend(extra_checks)
-    return [check() for check in checks]
+    results = []
+    for check in checks:
+        start = time.perf_counter()
+        result = check()
+        results.append(replace(result, elapsed=time.perf_counter() - start))
+    return results

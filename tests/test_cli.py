@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import quadratica
 from quadratica.cli import main
 from quadratica.qfield import QuadElem, parse_quad
 
@@ -299,6 +304,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "30/30 checks passed" in out
 
+    def test_every_check_reports_elapsed(self, capsys):
+        code, out, _ = run(capsys, "verify", "--scale", "quick", "--json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert len(results) == 30
+        assert all(isinstance(r["elapsed"], float) and r["elapsed"] >= 0 for r in results)
+
     def test_fault_injection_fails(self, capsys):
         """The harness itself must report failure when a check fails."""
         from quadratica.verify import CheckResult, run_all
@@ -316,3 +328,37 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "FAIL" in out and "0/1 checks passed" in out
+
+
+class TestBrokenPipe:
+    """A reader that closes early (`quadratica ... | head -1`) ends the run quietly."""
+
+    # about 340 kB of CSV: more than a pipe holds, so the writer is still
+    # writing when the reader goes away, whatever the buffering
+    ARGV = ["perfect", "plot", "--from", "-100", "--to", "100", "--step", "1/100", "--csv"]
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_no_traceback(self, unbuffered):
+        env = dict(os.environ)
+        src = str(Path(quadratica.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quadratica", *self.ARGV],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert first.rstrip() == b"x,fx"
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
+        assert code == 1

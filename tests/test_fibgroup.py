@@ -67,6 +67,19 @@ class TestFib:
         with pytest.raises(NegativeIndex):
             fib(-1)
 
+    def test_linear_recurrence_to_300(self):
+        a, b = 1, 1
+        for n in range(301):
+            assert fib(n) == a, n
+            a, b = b, a + b
+
+    def test_cassini_at_ten_to_the_fifth(self):
+        # seeds f0 = f1 = 1 shift Cassini's F(n-1)F(n+1) - F(n)^2 = (-1)^n by one
+        n = 10**5
+        prev2, prev, cur = fib(n - 2), fib(n - 1), fib(n)
+        assert cur == prev + prev2
+        assert prev2 * cur - prev * prev == (-1) ** n
+
 
 class TestPowerReduce:
     def test_phi_fifth(self):

@@ -17,6 +17,8 @@ from quadratica.qfield import QuadElem
 from quadratica.solver import Quadratic, vertex
 
 PHI = QuadElem(Fraction(1, 2), Fraction(1, 2), 5)
+# Lucas and Fibonacci numbers: conj(phi)^40 = (L40 - F40*sqrt(5))/2
+L40, F40 = 228826127, 102334155
 
 
 class TestGoldenCut:
@@ -39,6 +41,17 @@ class TestGoldenCut:
     def test_positive_required(self):
         with pytest.raises(NonPositiveLength):
             golden_cut(0)
+
+    def test_tiny_positive_length_is_cut(self):
+        # L40 - F40*sqrt(5) = 2*conj(phi)^40 ~ 4e-9 > 0, though float() rounds it to 0.0
+        length = QuadElem(L40, -F40, 5)
+        assert float(length) == 0.0
+        a, b = golden_cut(length)
+        assert a * a == b * length and a + b == length
+
+    def test_tiny_negative_length_rejected(self):
+        with pytest.raises(NonPositiveLength):
+            golden_cut(QuadElem(-L40, F40, 5))
 
 
 # (solid, expected floats for area/apothem/volume at unit edge)
@@ -122,6 +135,16 @@ class TestPlatonic:
     def test_radical_squaring_contract(self):
         r = RadicalExpr(Fraction(3, 2), QuadElem.from_rational(5))
         assert r.squared() == QuadElem.from_rational(Fraction(45, 4))
+
+    def test_tiny_negative_inner_rejected(self):
+        # -(L40 - F40*sqrt(5)) ~ -4e-9 < 0, though float() rounds it to 0.0
+        with pytest.raises(ValueError):
+            RadicalExpr(1, QuadElem(-L40, F40, 5))
+        assert RadicalExpr(1, QuadElem(L40, -F40, 5)).squared() == QuadElem(L40, -F40, 5)
+
+    def test_complex_inner_rejected(self):
+        with pytest.raises(ValueError):
+            RadicalExpr(1, QuadElem(1, 1, -3))
 
 
 class TestTrajectory:

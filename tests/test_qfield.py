@@ -1,6 +1,8 @@
 """Quadratic-field arithmetic: construction, canonical form, field axioms."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -227,3 +229,164 @@ class TestTextRoundTrip:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_quad("3 + sqrt(5)")
+
+
+# ---------------------------------------------------------------- integer core
+
+
+def assert_canonical(z):
+    """The stored (A + B*sqrt(m))/D: D > 0, gcd(A, B, D) = 1, m = 0 iff B = 0."""
+    A, B, D, m = z._A, z._B, z._D, z._m
+    assert all(type(v) is int for v in (A, B, D, m))
+    assert D > 0
+    assert math.gcd(A, B, D) == 1
+    assert (m == 0) == (B == 0)
+    if m:
+        assert m != 1 and all(m % (p * p) for p in range(2, 12))
+    assert (z.a, z.b) == (Fraction(A, D), Fraction(B, D))
+
+
+# Reference arithmetic on Fraction coordinate pairs (a, b) for a + b*sqrt(m),
+# written here so that the oracle does not share code with qfield.
+
+
+def ref_mul(p, q, m):
+    (a1, b1), (a2, b2) = p, q
+    return (a1 * a2 + m * b1 * b2, a1 * b2 + b1 * a2)
+
+
+def ref_inverse(p, m):
+    a, b = p
+    n = a * a - m * b * b
+    return (a / n, -b / n)
+
+
+def ref_pow(p, k, m):
+    if k < 0:
+        return ref_pow(ref_inverse(p, m), -k, m)
+    result = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        result = ref_mul(result, p, m)
+    return result
+
+
+def matches(z, pair, m):
+    a, b = pair
+    return (z.a, z.b, z.m) == (a, b, m if b else 0)
+
+
+class TestIntegerCore:
+    @given(radicands.flatmap(lambda m: st.tuples(elems(m), elems(m))), st.integers(-4, 6))
+    def test_canonical_after_every_operation(self, pair, k):
+        z, w = pair
+        results = [z, w, z + w, z - w, z * w, -z, z.conj(), z + 1, 2 - z, z * Fraction(3, 4)]
+        if w:
+            results += [z / w, w.inverse(), Fraction(5, 3) / w]
+        if z or k >= 0:
+            results.append(z**k)
+        for r in results:
+            assert_canonical(r)
+
+    def test_canonical_from_every_constructor(self):
+        for z in (
+            QuadElem(Fraction(2, 4), 3, 12),
+            QuadElem(6, 4, 4),  # sqrt(4) folds into the rational part
+            QuadElem(0, 0, 7),
+            QuadElem("3/9", "-2/6", -12),
+            QuadElem.from_rational(Fraction(-6, 8)),
+            QuadElem.from_rational(0),
+            parse_quad("1/2 - 1/6√-3"),
+            QuadElem.from_dict({"a": {"num": 1, "den": 6}, "b": {"num": 1, "den": 4}, "m": 50}),
+        ):
+            assert_canonical(z)
+
+    def test_spellings_agree(self):
+        z = QuadElem(Fraction(2, 4), 3, 12)
+        w = QuadElem(Fraction(1, 2), 6, 3)
+        assert z == w and hash(z) == hash(w)
+        assert (z._A, z._B, z._D, z._m) == (1, 12, 2, 3)
+        assert QuadElem(1, 1, 4) == QuadElem(3, 0, 2) == 3
+        assert hash(QuadElem(1, 1, 4)) == hash(3)
+        assert QuadElem("1/2", "1/2", 5) == PHI
+
+    @given(st.one_of(st.integers(-(10**30), 10**30), rationals))
+    def test_rational_hashes_like_fraction(self, x):
+        z = QuadElem.from_rational(x)
+        assert z == x and hash(z) == hash(x) == hash(Fraction(x))
+        assert hash(QuadElem(x, 0, 5)) == hash(x)
+
+    def test_rational_results_hash_like_fractions(self):
+        assert hash(PHI * PHI.conj()) == hash(-1)
+        assert hash(PHI / 2 - PHI.conj() / 2 - QuadElem(0, Fraction(1, 2), 5)) == hash(0)
+        assert {QuadElem.from_rational(Fraction(1, 3)), Fraction(1, 3)} == {Fraction(1, 3)}
+
+    def test_types_and_immutability(self):
+        z = QuadElem(Fraction(3, 4), -2, 7)
+        assert type(z.a) is Fraction and type(z.b) is Fraction and type(z.m) is int
+        assert type(QuadElem.from_rational(3).b) is Fraction
+        for name in ("a", "b", "m", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 1)
+        assert z == QuadElem(Fraction(3, 4), -2, 7)
+
+    @pytest.mark.parametrize(
+        "z",
+        [PHI, QuadElem(Fraction(-7, 6), Fraction(5, 4), -3), QuadElem.from_rational(Fraction(9, 2))],
+    )
+    def test_pickle_and_deepcopy(self, z):
+        for back in (pickle.loads(pickle.dumps(z)), copy.deepcopy(z), copy.copy(z)):
+            assert type(back) is QuadElem
+            assert back == z and hash(back) == hash(z) and str(back) == str(z)
+            assert_canonical(back)
+
+    def test_repr_and_dict_unchanged(self):
+        z = QuadElem(Fraction(2, 4), 3, 12)
+        assert repr(z) == "QuadElem(1/2, 6, 3)"
+        assert z.to_dict() == {"a": {"num": 1, "den": 2}, "b": {"num": 6, "den": 1}, "m": 3}
+        assert str(QuadElem(0, Fraction(-1, 3), 5)) == "-1/3√5"
+
+    @given(
+        radicands.flatmap(lambda m: st.tuples(st.just(m), elems(m), elems(m))),
+        st.integers(-5, 7),
+    )
+    def test_agrees_with_coordinate_reference(self, triple, k):
+        m, z, w = triple
+        p, q = (z.a, z.b), (w.a, w.b)
+        assert matches(z * w, ref_mul(p, q, m), m)
+        if w:
+            assert matches(w.inverse(), ref_inverse(q, m), m)
+            assert matches(z / w, ref_mul(p, ref_inverse(q, m), m), m)
+        if z or k >= 0:
+            assert matches(z**k, ref_pow(p, k, m), m)
+
+
+class TestSign:
+    def test_small_values(self):
+        assert QuadElem.from_rational(0).sign() == 0
+        assert QuadElem.from_rational(Fraction(-1, 3)).sign() == -1
+        assert PHI.sign() == 1 and PHI.conj().sign() == -1
+        assert QuadElem(-3, 2, 2).sign() == -1  # 2*sqrt(2) < 3
+        assert QuadElem(3, -2, 3).sign() == -1  # 2*sqrt(3) > 3
+        assert QuadElem(0, -1, 5).sign() == -1
+
+    def test_conjugate_golden_powers(self):
+        # conj(phi) = (1 - sqrt(5))/2 is negative, so conj(phi)^n has sign (-1)^n;
+        # beyond n ~ 40 float() cannot tell these values from zero
+        z = PHI.conj()
+        for n in range(1, 301):
+            assert (z**n).sign() == (-1) ** n
+            assert (-(z**n)).sign() == -((-1) ** n)
+
+    @given(radicands.filter(lambda m: m > 0).flatmap(lambda m: st.tuples(elems(m), elems(m))))
+    def test_against_float_and_multiplicative(self, pair):
+        z, w = pair
+        # small operands keep nonzero values far above float rounding
+        value = float(z)
+        assert z.sign() == (value > 0) - (value < 0)
+        assert (z * w).sign() == z.sign() * w.sign()
+        assert (-z).sign() == -z.sign()
+
+    def test_non_real_rejected(self):
+        with pytest.raises(ValueError):
+            QuadElem(1, 1, -1).sign()
+        assert QuadElem(2, 0, -1).sign() == 1
