@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import congruence, errata, fibgroup, geometry, goldbach, metallic, perfect, pnum, verify
-from .errors import DomainError
+from .errors import DomainError, InputTooLarge
 from .qfield import QuadElem, parse_quad, qf_arith, qf_conj_norm, qf_coords, qf_make, qf_sqrt_solution, rat_to_dict
 from .solver import (
     Quadratic,
@@ -176,8 +177,30 @@ def _cmd_qfield(args, cfg: OutputConfig) -> Output:
     raise ValueError(f"unknown action {args.qf_action}")  # pragma: no cover
 
 
+def _fib_max_index() -> Optional[int]:
+    """Largest n whose fib(n) fits the interpreter's int-to-str digit limit (None: no limit).
+
+    fib(n) ~ phi^(n+1)/sqrt(5) gives the estimate; exact comparisons settle it.
+    """
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        return None
+    n = int((digits + math.log10(5) / 2) / math.log10(float(fibgroup.PHI)))
+    while fibgroup.fib(n + 1) < 10**digits:
+        n += 1
+    while fibgroup.fib(n) >= 10**digits:
+        n -= 1
+    return n
+
+
 def _cmd_fib(args, cfg: OutputConfig) -> Output:
     if args.fib_action == "value":
+        cap = _fib_max_index()
+        if cap is not None and args.n > cap:
+            raise InputTooLarge(
+                f"fib value index must be <= {cap} (the largest fib(n) of at most "
+                f"{sys.get_int_max_str_digits()} digits), got {args.n}"
+            )
         return Output([str(fibgroup.fib(args.n))], {"n": args.n, "value": fibgroup.fib(args.n)})
     if args.fib_action == "reduce":
         pair = fibgroup.power_reduce(fibgroup.Case(args.case), args.n)
@@ -323,8 +346,15 @@ def _cmd_cong(args, cfg: OutputConfig) -> Output:
     raise ValueError(f"unknown action {args.cong_action}")  # pragma: no cover
 
 
+# Each row runs a Lucas-Lehmer test of 2^p - 1, so the table costs about
+# max_exp^3 bit operations: 2000 takes ~2 s, 4000 ~30 s, 7200 minutes.
+_PERFECT_TABLE_MAX_EXP = 2000
+
+
 def _cmd_perfect(args, cfg: OutputConfig) -> Output:
     if args.perfect_action == "table":
+        if args.max_exp > _PERFECT_TABLE_MAX_EXP:
+            raise InputTooLarge(f"--max-exp must be <= {_PERFECT_TABLE_MAX_EXP}, got {args.max_exp}")
         records = [perfect.perfect_from_exponent(p) for p in range(2, args.max_exp + 1)]
         lines = []
         rows = [["p", "mersenne", "x1", "x2", "P", "perfect"]]

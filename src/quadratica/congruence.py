@@ -8,7 +8,9 @@ is also exactly when p splits as a^2 + b^2; :func:`two_squares` computes that
 split with Cornacchia's descent seeded by sqrt(-1) mod p.
 
 Composite, even, or prime-power moduli are rejected outright rather than
-partially supported.
+partially supported. Each public function validates its modulus once, at
+entry; the internals (`_legendre`, `_sqrt_mod`, `_tonelli_shanks`) assume an
+odd prime and never test primality again.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ class CongruenceSolution:
 def legendre(r: int, p: int) -> int:
     """Legendre symbol (r|p) by Euler's criterion: r^((p-1)/2) mod p -> {+1, -1, 0}."""
     _check_odd_prime(p)
+    return _legendre(r, p)
+
+
+def _legendre(r: int, p: int) -> int:
     ls = pow(r % p, (p - 1) // 2, p)
     return -1 if ls == p - 1 else ls
 
@@ -69,10 +75,14 @@ def sqrt_mod(r: int, p: int) -> CongruenceSolution:
     otherwise Tonelli-Shanks.
     """
     _check_odd_prime(p)
+    return _sqrt_mod(r, p)
+
+
+def _sqrt_mod(r: int, p: int) -> CongruenceSolution:
     r %= p
     if r == 0:
         return CongruenceSolution(SolutionKind.ONE_ROOT, (0,))
-    if legendre(r, p) != 1:
+    if _legendre(r, p) != 1:
         return CongruenceSolution(SolutionKind.NO_SOLUTION, ())
     if p % 4 == 3:
         u = pow(r, (p + 1) // 4, p)
@@ -89,7 +99,7 @@ def _tonelli_shanks(r: int, p: int) -> int:
         e += 1
     # any quadratic non-residue will do as the twiddle base
     n = 2
-    while legendre(n, p) != -1:
+    while _legendre(n, p) != -1:
         n += 1
     x = pow(r, (s + 1) // 2, p)
     b = pow(r, s, p)
@@ -118,7 +128,7 @@ def solve_quad_mod(a: int, b: int, c: int, p: int) -> CongruenceSolution:
     if a % p == 0:
         raise DegenerateLeading(f"{p} divides the leading coefficient")
     target = (b * b - 4 * a * c) % p
-    inner = sqrt_mod(target, p)
+    inner = _sqrt_mod(target, p)
     if inner.kind is SolutionKind.NO_SOLUTION:
         return inner
     inv2a = pow(2 * a % p, -1, p)
@@ -140,7 +150,7 @@ def two_squares(p: int) -> tuple[int, int]:
     _check_odd_prime(p)
     if p % 4 == 3:
         raise NotRepresentable(f"{p} = 4t + 3 is not a sum of two squares")
-    x = max(sqrt_mod(p - 1, p).roots)
+    x = max(_sqrt_mod(p - 1, p).roots)
     a, b = p, x
     limit = isqrt(p)
     while b > limit:

@@ -36,6 +36,10 @@ class NegativeIndex(DomainError):
     """Sequence index outside its domain."""
 
 
+class InputTooLarge(DomainError):
+    """An input whose size maps straight to run time or output size is past its limit."""
+
+
 class UnitRatio(DomainError):
     """Geometric-sum ratio x = 1 has no closed form."""
 

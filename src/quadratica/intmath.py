@@ -72,15 +72,21 @@ def rational_sqrt_decompose(f: Fraction) -> tuple[Fraction, int]:
     return Fraction(s0, f.denominator), m
 
 
-# Deterministic Miller-Rabin witness set: correct for all n < 3.3 * 10^24,
-# which covers every integer this package is asked to test exactly.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12 = 318665857834031151167461 fools the first 12 bases; no composite
+# below psi_13 fools all 13 (Sorenson-Webster, Math. Comp. 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test with a deterministic witness set."""
+    """Miller-Rabin primality test with the 13 prime bases 2..41.
+
+    Deterministic (proven correct) for n < psi_13 = 3317044064679887385961981,
+    about 3.3 * 10^24. At or above that bound the answer is a 13-base strong
+    probable-prime test: a True may be wrong (psi_13 itself passes), a False
+    is always right.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -11,12 +11,13 @@ equation and the indicial equation of series solutions, via
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateLeadingCoefficient, NonPositiveParameter
 from .intmath import rational_sqrt_decompose
-from .qfield import QuadElem, RatLike, rat_to_dict, rational
+from .qfield import QuadElem, RatLike, _reduced, rat_to_dict, rational
 
 __all__ = [
     "Quadratic",
@@ -137,15 +138,19 @@ def solve(q: Quadratic) -> RootPair:
         r = QuadElem.from_rational(base)
         return RootPair(RootKind.REAL_DOUBLE, r, r)
     s, m = rational_sqrt_decompose(disc)
+    offset = s / (2 * q.a)
     if m == 1:
         # rational square: two rational roots
-        offset = s / (2 * q.a)
         return RootPair(
             RootKind.REAL_DISTINCT,
             QuadElem.from_rational(base + offset),
             QuadElem.from_rational(base - offset),
         )
-    r1 = QuadElem(base, s / (2 * q.a), m)
+    # m is squarefree already, so skip the public constructor's factoring
+    d = math.lcm(base.denominator, offset.denominator)
+    r1 = _reduced(
+        base.numerator * (d // base.denominator), offset.numerator * (d // offset.denominator), d, m
+    )
     kind = RootKind.REAL_DISTINCT if disc > 0 else RootKind.COMPLEX_PAIR
     return RootPair(kind, r1, r1.conj())
 

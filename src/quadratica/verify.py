@@ -7,6 +7,11 @@ square roots below 2000). All randomness is seeded, so both scales are
 deterministic. Checks return results instead of raising, so one failure
 doesn't hide the rest; the harness accepts extra caller-supplied checks,
 which doubles as its own fault-injection self-test.
+
+This module is the only home of the expected values (reference tables,
+constants, identities, brute-force oracles). The acceptance criteria in
+``tests/test_acceptance.py`` call these checks with their pinned bounds and
+seeds instead of carrying a second copy.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from . import congruence, fibgroup, geometry, goldbach, metallic, perfect, pnum
+from . import congruence, errata, fibgroup, geometry, goldbach, metallic, perfect, pnum
 from .intmath import is_prime, sieve_flags
 from .qfield import QuadElem, parse_quad
 from .solver import Quadratic, shift_roots, solve, vertex
@@ -139,6 +144,10 @@ def check_shift_companion(samples: int, seed: int = 202) -> CheckResult:
         ok = ok and s.is_rational and prod.is_rational
         ok = ok and shifted == Quadratic(1, -s.as_fraction(), prod.as_fraction())
         ok = ok and shift_roots(shifted, -k) == base
+    ids = {e.id for e in errata.ERRATA}
+    ok = ok and {"shift-companion-plus", "shift-companion-minus"} <= ids
+    ok = ok and "1 - 2p" in errata.get_entry("shift-companion-plus").derived
+    ok = ok and "2p + 1" in errata.get_entry("shift-companion-minus").derived
     return CheckResult("solver", "shift-companion", ok, f"{samples} (p,q,k) trials")
 
 
@@ -199,17 +208,25 @@ def check_partial_sums(n_max: int) -> CheckResult:
             ok = ok and fibgroup.partial_power_sum(case, 6) == fibgroup.partial_power_sum(case, 12)
         if case is fibgroup.Case.IV:
             ok = ok and fibgroup.partial_power_sum(case, 3) == fibgroup.partial_power_sum(case, 6)
+            # the stated anchor values: -1, 0, x at n = 2, 3, 4
+            ok = ok and fibgroup.partial_power_sum(case, 2) == QuadElem.from_rational(-1)
+            ok = ok and fibgroup.partial_power_sum(case, 3) == QuadElem.from_rational(0)
+            ok = ok and fibgroup.partial_power_sum(case, 4) == x
     return CheckResult("fibgroup", "partial-sums", ok, f"all cases, n <= {n_max}")
 
 
 def check_unit_groups() -> CheckResult:
     g3 = fibgroup.unit_group(fibgroup.Case.III)
     g4 = fibgroup.unit_group(fibgroup.Case.IV)
-    table3 = fibgroup.multiplication_table(g3)
-    table4 = fibgroup.multiplication_table(g4)
     ok = g3.order == 6 and g4.order == 3
-    ok = ok and all(sorted(row) == list(range(g3.order)) for row in table3)
-    ok = ok and all(sorted(row) == list(range(g4.order)) for row in table4)
+    for group in (g3, g4):
+        table = fibgroup.multiplication_table(group)
+        n = group.order
+        identity = group.index_of(QuadElem.from_rational(1))
+        ok = ok and all(sorted(row) == list(range(n)) for row in table)  # closure + cancellation
+        ok = ok and table[identity] == list(range(n))  # identity row
+        ok = ok and all(identity in row for row in table)  # inverses
+        ok = ok and all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
     return CheckResult("fibgroup", "unit-groups", ok, "orders 6 and 3, Latin-square tables")
 
 
@@ -239,9 +256,11 @@ def check_phi_ledger(n_max: int) -> CheckResult:
             ok = ok and (row.coeff, row.const) == (prev.coeff + prev.const, prev.coeff)
         ok = ok and row.power_sum == row.coeff + 2 * row.const
         diff = fibgroup.PHI**row.n - fibgroup.PHI_BAR**row.n
-        ok = ok and diff == QuadElem(0, row.diff_coeff, 5)
+        ok = ok and diff == QuadElem(0, row.diff_coeff, 5) and row.diff_coeff == row.coeff
         prev = row
     ok = ok and any(row.errata_id == "phi-sixth-power" for row in rows if row.n == 6)
+    ok = ok and fibgroup.PHI**6 == 8 * fibgroup.PHI + 5
+    ok = ok and "8φ + 5" in errata.get_entry("phi-sixth-power").derived
     return CheckResult("metallic", "phi-ledger", ok, f"rows 2..{n_max} plus properties 1-8")
 
 
@@ -315,6 +334,7 @@ def check_four_t_plus_one(p_limit: int) -> CheckResult:
         if p % 4 == 1:
             a, b = congruence.two_squares(p)
             ok = ok and a * a + b * b == p and a <= b
+    ok = ok and [congruence.two_squares(p) for p in (5, 13, 17)] == [(1, 2), (2, 3), (1, 4)]
     return CheckResult(
         "congruence", "4t+1-criterion-two-squares", ok, f"{count} odd primes < {p_limit}"
     )
@@ -457,6 +477,7 @@ def check_goldbach_range(stop: int) -> CheckResult:
     summary = goldbach.verify_range(stop)
     expected = (stop - 4) // 2 + 1
     ok = summary.count == expected and summary.max_i >= 0
+    ok = ok and {(17, 7), (19, 5)} <= {(w.p, w.q) for w in goldbach.witnesses(24)}
     return CheckResult(
         "goldbach",
         "witness-range",
@@ -479,7 +500,12 @@ def check_goldbach_areas(samples: int, seed: int = 501) -> CheckResult:
         ok = ok and report.parabola_area == Fraction(4, 3) * i3
         ok = ok and report.rectangle_area == 2 * i3
         ok = ok and report.triangle_area == i3
+        ok = ok and report.rectangle_area / report.parabola_area == Fraction(3, 2)
+        ok = ok and report.rectangle_area / report.triangle_area == 2
+        ok = ok and report.parabola_area / report.triangle_area == Fraction(4, 3)
         ok = ok and report.leading_segment == Fraction(q * q * (3 * p - q), 6)
+    ok = ok and goldbach.hypotenuse_number(6, 5, 1) == (169, goldbach.HypClass.PRIME_SQUARE)
+    ok = ok and goldbach.hypotenuse_number(6, 7, 1) == (193, goldbach.HypClass.PRIME)
     return CheckResult("goldbach", "area-identities", ok, f"{samples} random witness pairs")
 
 
@@ -545,6 +571,11 @@ def check_geometry() -> CheckResult:
         row3 = geometry.platonic(solid, 3)
         ok = ok and row3.volume.squared() == 3**6 * row1.volume.squared()
         ok = ok and row3.total_area.squared() == 3**4 * row1.total_area.squared()
+        # V = A * apothem / 3, exactly and in floating point
+        third = row1.total_area.times(row1.apothem).scaled(Fraction(1, 3))
+        ok = ok and third.equals(row1.volume)
+        volume = float(row1.volume)
+        ok = ok and abs(float(third) - volume) <= 1e-12 * max(1.0, volume)
     a, b = geometry.golden_cut(1)
     ok = ok and a * a == b * (a + b)
     traj = geometry.trajectory(10.0, 0.785398163, 9.8)

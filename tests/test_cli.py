@@ -164,6 +164,12 @@ class TestPerfectCommands:
         code, out, _ = run(capsys, "perfect", "preimage", "33550336")
         assert code == 0 and "x1 = 4095" in out
 
+    def test_table_max_exp_bounded(self, capsys):
+        code, out, err = run(capsys, "perfect", "table", "--max-exp", "2001", "--json")
+        envelope = json.loads(err)["error"]
+        assert code == 1 and out == ""
+        assert envelope["type"] == "InputTooLarge" and "<= 2000" in envelope["message"]
+
     def test_table_csv(self, capsys):
         code, out, _ = run(capsys, "perfect", "table", "--max-exp", "7", "--csv")
         rows = list(csv.reader(io.StringIO(out)))
@@ -189,6 +195,17 @@ class TestOtherCommands:
     def test_fib_value(self, capsys):
         code, out, _ = run(capsys, "fib", "value", "6")
         assert code == 0 and out.strip() == "13"
+
+    def test_fib_value_bounded_by_the_digit_limit(self, capsys, monkeypatch):
+        # fib(n) is printed in full, so the index cap follows the interpreter's
+        # int-to-str digit limit: fib(15) = 987 has 3 digits, fib(16) = 1597 has 4
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3, raising=False)
+        code, out, _ = run(capsys, "fib", "value", "15")
+        assert code == 0 and out.strip() == "987"
+        code, out, err = run(capsys, "fib", "value", "16", "--json")
+        envelope = json.loads(err)["error"]
+        assert code == 1 and out == ""
+        assert envelope["type"] == "InputTooLarge" and "<= 15" in envelope["message"]
 
     def test_qfield_coords(self, capsys):
         code, out, _ = run(capsys, "qfield", "coords", "1/2 + 1/2√5")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quadratica import congruence
 from quadratica.congruence import (
     SolutionKind,
     is_prime,
@@ -25,6 +26,9 @@ from quadratica.intmath import sieve_flags
 
 FLAGS = sieve_flags(2000)
 ODD_PRIMES = [p for p in range(3, 2000) if FLAGS[p]]
+
+# smallest strong pseudoprime to the 12 prime bases 2..37
+PSI_12 = 399165290221 * 798330580441
 
 
 def brute_sqrt(r: int, p: int) -> list[int]:
@@ -91,6 +95,10 @@ class TestSqrtMod:
         got = sqrt_mod(r, p)
         for u in got.roots:
             assert u * u % p == r % p
+
+    def test_strong_pseudoprime_modulus_rejected(self):
+        with pytest.raises(CompositeModulus):
+            sqrt_mod(4, PSI_12)
 
     def test_tonelli_heavy_two_power(self):
         # p - 1 with a large power of two exercises the full loop
@@ -164,6 +172,23 @@ class TestTwoSquares:
         assert is_prime(p) and p % 4 == 1
         a, b = two_squares(p)
         assert a * a + b * b == p
+
+
+class TestModulusCheckedOnce:
+    def test_one_primality_test_per_call(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(congruence, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        # 73 = 1 (mod 8): 2 is a residue, so its square root takes Tonelli-Shanks,
+        # whose non-residue search tries 2, 3, 4, 5
+        for call, args in [
+            (legendre, (2, 73)),
+            (sqrt_mod, (2, 73)),
+            (solve_quad_mod, (1, 0, -2, 73)),
+            (two_squares, (73,)),
+        ]:
+            tested.clear()
+            call(*args)
+            assert tested == [73], call.__name__
 
 
 class TestIsPrime:

@@ -74,8 +74,9 @@ class TestPrimality:
             assert is_prime(n) == bool(flags[n])
 
     def test_strong_pseudoprimes(self):
-        # composites that fool single-witness tests
-        for n in (3215031751, 3474749660383, 341550071728321):
+        # composites that fool single-witness tests, and psi_12, the smallest
+        # strong pseudoprime to all twelve prime bases 2..37
+        for n in (3215031751, 3474749660383, 341550071728321, 399165290221 * 798330580441):
             assert not is_prime(n)
 
     def test_large_known(self):
