@@ -422,9 +422,17 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
     raise ValueError(f"unknown action {args.perfect_action}")  # pragma: no cover
 
 
+# verify_range holds a sieve and three integers of --to bits: 10^7 takes
+# ~2.5 s and ~47 MB, 10^8 ~53 s and ~320 MB, growing linearly from there.
+_GOLDBACH_VERIFY_MAX = 10**8
+
+
 def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
     if args.gb_action == "witness":
         if args.all:
+            # above the sieve cap every one of ~N/4 candidates gets a Miller-Rabin test
+            if args.n > goldbach._SIEVE_CAP:
+                raise InputTooLarge(f"witness --all needs N <= {goldbach._SIEVE_CAP}, got {args.n}")
             found = goldbach.witnesses(args.n)
             lines = [f"{w.N} = {w.p} + {w.q}  (I = {w.I})" for w in found]
             data = {
@@ -450,6 +458,8 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
             },
         )
     if args.gb_action == "verify":
+        if args.to > _GOLDBACH_VERIFY_MAX:
+            raise InputTooLarge(f"--to must be <= {_GOLDBACH_VERIFY_MAX}, got {args.to}")
         summary = goldbach.verify_range(args.to, csv_path=args.report)
         lines = [
             f"verified {summary.count} even numbers in [{summary.start}, {summary.stop}]",

@@ -34,17 +34,14 @@ _PHI = QuadElem(Fraction(1, 2), Fraction(1, 2), 5)
 def golden_cut(length: Union[RatLike, QuadElem]) -> tuple[QuadElem, QuadElem]:
     """Split a length so that (a + b)/a = a/b = phi, exactly in Q(sqrt(5)).
 
-    a = L/phi and b = L - a; the defining proportion a^2 = b(a + b) is
-    asserted before returning.
+    a = L/phi and b = L - a; verify's platonic-goldencut-trajectory checks
+    the defining proportion a^2 = b(a + b) and a/b = phi.
     """
     total = length if isinstance(length, QuadElem) else QuadElem.from_rational(rational(length))
     if total.sign() <= 0:
         raise NonPositiveLength("cut length must be > 0")
     a = total / _PHI
-    b = total - a
-    if a * a != b * total or a / b != _PHI:
-        raise AssertionError("golden proportion violated")  # pragma: no cover
-    return a, b
+    return a, total - a
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,9 @@ _TABLE = {
 def platonic(solid: PlatonicSolid, edge: RatLike = 1) -> PlatonicRow:
     """Radical-exact face area, total area, apothem, volume at a given edge.
 
-    Scales the unit-edge table by edge^2 (areas) and edge^3 (volume) and
-    asserts the inradius identity V = A * apothem / 3 by squared comparison.
+    Scales the unit-edge table by edge^2 (areas) and edge^3 (volume).
+    verify's platonic-goldencut-trajectory checks the inradius identity
+    V = A * apothem / 3 by squared comparison.
     """
     solid = PlatonicSolid(solid)
     edge = rational(edge)
@@ -155,7 +153,7 @@ def platonic(solid: PlatonicSolid, edge: RatLike = 1) -> PlatonicRow:
         raise NonPositiveLength("edge must be > 0")
     face_u, total_u, apothem_u, volume_u = (RadicalExpr(s, q) for s, q in _TABLE[solid])
     e2, e3 = edge * edge, edge * edge * edge
-    row = PlatonicRow(
+    return PlatonicRow(
         solid=solid,
         edge=edge,
         face_area=face_u.scaled(e2),
@@ -163,10 +161,6 @@ def platonic(solid: PlatonicSolid, edge: RatLike = 1) -> PlatonicRow:
         apothem=apothem_u.scaled(edge),
         volume=volume_u.scaled(e3),
     )
-    third = row.total_area.times(row.apothem).scaled(Fraction(1, 3))
-    if not third.equals(row.volume):
-        raise AssertionError(f"V = A*ap/3 violated for {solid}")  # pragma: no cover
-    return row
 
 
 @dataclass(frozen=True)
@@ -184,9 +178,9 @@ class Trajectory:
 def trajectory(v0: float, beta: float, g: float = 9.8) -> Trajectory:
     """Projectile path y = -g x^2 / (2 v0^2 cos^2 b) + tan(b) x.
 
-    Apex from the vertex formula, range from v0^2 sin(2b)/g; the two are
-    cross-checked against each other (the range is twice the apex abscissa)
-    at 1e-9 relative.
+    Apex from the vertex formula, range from v0^2 sin(2b)/g; verify's
+    platonic-goldencut-trajectory cross-checks the two (the range is twice
+    the apex abscissa) at 1e-9 relative.
     """
     if not 0 < beta < math.pi / 2:
         raise InvalidAngle("angle must be in (0, pi/2)")
@@ -197,6 +191,4 @@ def trajectory(v0: float, beta: float, g: float = 9.8) -> Trajectory:
     apex_x = -b / (2 * a)
     apex_y = -(b * b) / (4 * a)
     range_x = v0 * v0 * math.sin(2 * beta) / g
-    if abs(range_x - 2 * apex_x) > 1e-9 * max(1.0, abs(range_x)):
-        raise AssertionError("range/vertex cross-check failed")  # pragma: no cover
     return Trajectory(a=a, b=b, c=0.0, apex_x=apex_x, apex_y=apex_y, range_x=range_x)

@@ -30,7 +30,7 @@ from typing import Iterator, Optional
 
 from .errors import EvenInput, InvalidPair, NoWitnessFound, NotCoprime
 from .intmath import is_prime, sieve_flags
-from .solver import Quadratic, solve
+from .solver import Quadratic
 
 __all__ = [
     "parity_lemma",
@@ -82,19 +82,13 @@ def _witness_flags(n: int):
 def parity_lemma(p: int, q: int) -> tuple[str, str]:
     """Parities of (p+q)/2 and (p-q)/2 for odd p, q; always opposite.
 
-    Checked through the four-way 4k+1 / 4k-1 decomposition rather than a
-    single mod-4 shortcut, mirroring the case analysis that proves it.
+    verify's parity-lemma checks this through the four-way 4k+1 / 4k-1
+    decomposition that proves it.
     """
     if p % 2 == 0 or q % 2 == 0:
         raise EvenInput("both inputs must be odd")
     m = (p + q) // 2
     i = abs(p - q) // 2
-    # four-case decomposition: each odd number is 4k+1 or 4v-1, never both.
-    # Mixed classes make M = 2(k+v) even and I odd; matching classes make
-    # M odd and I = 2(k-v) even.
-    mixed = (p % 4) != (q % 4)
-    if (m % 2 == 0) != mixed or (m % 2) == (i % 2):
-        raise AssertionError("parity lemma violated")  # pragma: no cover
 
     def parity(x: int) -> str:
         return "even" if x % 2 == 0 else "odd"
@@ -168,18 +162,15 @@ class WitnessParabola:
 
 
 def witness_parabola(p: int, q: int) -> WitnessParabola:
-    """x^2 - (p+q)x + pq for odd primes p >= q: roots p, q; vertex (M, -I^2)."""
+    """x^2 - (p+q)x + pq for odd primes p >= q: roots p, q; vertex (M, -I^2).
+
+    verify's area-identities checks the roots with solve and the vertex value.
+    """
     if p < q or p % 2 == 0 or q % 2 == 0 or not (is_prime(p) and is_prime(q)):
         raise InvalidPair(f"need odd primes p >= q, got ({p}, {q})")
-    quadratic = Quadratic(1, -(p + q), p * q)
-    pair = solve(quadratic)
-    if {pair.r1.as_fraction(), pair.r2.as_fraction()} != {Fraction(p), Fraction(q)}:
-        raise AssertionError("roots must be the witness primes")  # pragma: no cover
-    m = Fraction(p + q, 2)
     i = Fraction(p - q, 2)
-    if quadratic(m) != -(i * i):
-        raise AssertionError("vertex value must be -I^2")  # pragma: no cover
-    return WitnessParabola(p=p, q=q, quadratic=quadratic, vertex_x=m, vertex_y=-(i * i))
+    quadratic = Quadratic(1, -(p + q), p * q)
+    return WitnessParabola(p=p, q=q, quadratic=quadratic, vertex_x=Fraction(p + q, 2), vertex_y=-(i * i))
 
 
 @dataclass(frozen=True)
@@ -198,14 +189,14 @@ def witness_areas(p: int, q: int) -> AreaReport:
 
     A_s = (p-q)^3/6 = (4/3) I^3 by antiderivative, A_r = (p-q) I^2 = 2 I^3,
     A_t = A_r/2 = I^3, and the leading segment over [0, q] is q^2 (3p - q)/6.
-    The ratio identities A_r/A_s = 3/2, A_r/A_t = 2, A_s/A_t = 4/3 are
-    asserted before returning.
+    verify's area-identities checks each area, the ratio identities
+    A_r/A_s = 3/2, A_r/A_t = 2, A_s/A_t = 4/3, and the leading segment
+    against the antiderivative.
     """
     if p <= q:
         raise InvalidPair(f"need p > q, got ({p}, {q})")
-    parab = witness_parabola(p, q)  # validates primality/oddness
+    witness_parabola(p, q)  # validates primality/oddness
     i = (p - q) // 2
-    i3 = Fraction(i) ** 3
 
     def antiderivative(x: Fraction) -> Fraction:
         # integral of -(x - p)(x - q) = -x^2 + (p+q)x - pq
@@ -213,25 +204,12 @@ def witness_areas(p: int, q: int) -> AreaReport:
 
     a_s = antiderivative(Fraction(p)) - antiderivative(Fraction(q))
     a_r = Fraction((p - q) * i * i)
-    a_t = a_r / 2
-    segment = Fraction(q * q * (3 * p - q), 6)
-
-    if a_s != Fraction((p - q) ** 3, 6) or a_s != Fraction(4, 3) * i3:
-        raise AssertionError("parabola area violated")  # pragma: no cover
-    if a_r != 2 * i3 or a_t != i3:
-        raise AssertionError("rectangle/triangle area violated")  # pragma: no cover
-    if (a_r / a_s, a_r / a_t, a_s / a_t) != (Fraction(3, 2), Fraction(2), Fraction(4, 3)):
-        raise AssertionError("area ratios violated")  # pragma: no cover
-    x0 = Fraction(0)
-    xq = Fraction(q)
-    if (-(antiderivative(xq) - antiderivative(x0))) != segment:
-        raise AssertionError("leading segment violated")  # pragma: no cover
     return AreaReport(
         p=p, q=q, I=i,
         parabola_area=a_s,
         rectangle_area=a_r,
-        triangle_area=a_t,
-        leading_segment=segment,
+        triangle_area=a_r / 2,
+        leading_segment=Fraction(q * q * (3 * p - q), 6),
     )
 
 
@@ -244,18 +222,16 @@ class HypClass(str, enum.Enum):
 def hypotenuse_number(n: int, i: int, l: int = 1) -> tuple[int, HypClass]:
     """H = (2n)^(2l) + I^(2l) from the legs of a witness triangle.
 
-    Needs gcd(2n, I) = 1. Asserts the quotient identity
+    Needs gcd(2n, I) = 1. Classifies H as prime, prime square, or composite.
+    verify's hypotenuse-quotient checks the quotient identity
     ((p+q)^(2l) + (p-q)^(2l)) / 2^(2l) = (2n)^(2l) + I^(2l) with p = 2n + I,
-    q = 2n - I, then classifies H as prime, prime square, or composite.
+    q = 2n - I.
     """
     if l < 1:
         raise ValueError("exponent l must be >= 1")
     if gcd(2 * n, i) != 1:
         raise NotCoprime(f"gcd(2n, I) must be 1, got gcd({2 * n}, {i})")
     h = (2 * n) ** (2 * l) + i ** (2 * l)
-    p, q = 2 * n + i, 2 * n - i
-    if ((p + q) ** (2 * l) + (p - q) ** (2 * l)) != h * 2 ** (2 * l):
-        raise AssertionError("quotient identity violated")  # pragma: no cover
     if is_prime(h):
         return h, HypClass.PRIME
     r = isqrt(h)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonPositiveParameter
-from .fibgroup import PHI, PHI_BAR, fib
+from .fibgroup import PHI, PHI_BAR
 from .qfield import QuadElem, qf_make
 from .solver import Quadratic
 
@@ -61,8 +61,6 @@ def metallic(p: int, q: int) -> MetallicEntry:
         raise NonPositiveParameter("metallic means need p, q >= 1")
     equation = Quadratic(1, -p, -q)
     sigma = QuadElem(Fraction(p, 2), Fraction(1, 2), p * p + 4 * q)
-    if equation(sigma) != 0:
-        raise AssertionError("defining equation violated")  # pragma: no cover
     return MetallicEntry(p=p, q=q, equation=equation, sigma=sigma, name=_NAMES.get((p, q)))
 
 
@@ -84,8 +82,7 @@ def radicand_classify(m: int) -> RadicandClass:
 
     m = 4n + 1 -> roots (1 +/- sqrt(m))/2 solve x^2 - x - n = 0 (real pair);
     m = 4n - 1 -> roots (1 +/- sqrt(m)*j)/2 solve x^2 - x + n = 0 (complex
-    pair). Even m fits neither. The produced equation is re-verified against
-    its roots exactly before returning.
+    pair). Even m fits neither.
     """
     if m < 1:
         raise NonPositiveParameter("radicand must be >= 1")
@@ -93,27 +90,15 @@ def radicand_classify(m: int) -> RadicandClass:
         return RadicandClass(RadicandFamily.NOT_ODD, None, None)
     if m % 4 == 1:
         n = (m - 1) // 4
-        eq = Quadratic(1, -1, -n)
-        root = QuadElem(Fraction(1, 2), Fraction(1, 2), m) if m > 1 else QuadElem.from_rational(1)
-        family = RadicandFamily.REAL
-    else:
-        n = (m + 1) // 4
-        eq = Quadratic(1, -1, n)
-        root = QuadElem(Fraction(1, 2), Fraction(1, 2), -m)
-        family = RadicandFamily.COMPLEX
-    if eq(root) != 0 or eq(root.conj() if not root.is_rational else 1 - root.as_fraction()) != 0:
-        raise AssertionError("family equation violated")  # pragma: no cover
-    return RadicandClass(family, n, eq)
+        return RadicandClass(RadicandFamily.REAL, n, Quadratic(1, -1, -n))
+    n = (m + 1) // 4
+    return RadicandClass(RadicandFamily.COMPLEX, n, Quadratic(1, -1, n))
 
 
 def creation_equation(m: int) -> Fraction:
     """PHI^2 + conj(PHI)^2 for PHI = (1 + sqrt(m))/2; always equals (m + 1)/2."""
     big_phi = qf_make(Fraction(1, 2), Fraction(1, 2), m)
-    total = big_phi**2 + big_phi.conj() ** 2
-    value = total.as_fraction()
-    if value != Fraction(m + 1, 2):
-        raise AssertionError("creation identity violated")  # pragma: no cover
-    return value
+    return (big_phi**2 + big_phi.conj() ** 2).as_fraction()
 
 
 @dataclass(frozen=True)
@@ -144,8 +129,8 @@ def golden_trig(samples: int = 1000, seed: int = 5) -> TrigReport:
     quintuple-angle identity sin(5t) = 5*sin(t) - 20*sin(t)^3 + 16*sin(t)^5 at
     random angles, the exact normalization phi^2/4 + conj(phi)^2/4 + 1/4 = 1,
     its generalization PHI^2/4 + (7-m)/8 + conj(PHI)^2/4 = 1 for every
-    feasible radicand, and the feasibility bound: cos(t) = PHI/2 needs
-    (1 + sqrt(m))/4 <= 1, i.e. m <= 9.
+    feasible radicand m: cos(t) = PHI/2 needs (1 + sqrt(m))/4 <= 1, i.e.
+    m <= 9, a bound verify's creation-trig checks.
     """
     phi_f = float(PHI)
     c1 = abs(math.cos(math.pi / 5) - phi_f / 2) <= 1e-12
@@ -168,10 +153,6 @@ def golden_trig(samples: int = 1000, seed: int = 5) -> TrigReport:
         lhs = (big**2 + big.conj() ** 2) / 4 + Fraction(7 - m, 8)
         gen_ok = gen_ok and lhs == 1
 
-    infeasible = 10  # (1 + sqrt(10))/4 > 1: no angle has that cosine
-    if (1 + math.sqrt(infeasible)) / 4 <= 1:
-        raise AssertionError("feasibility bound miscomputed")  # pragma: no cover
-
     return TrigReport(
         cos_pi_5_matches_half_phi=c1,
         two_cos_2pi_5_matches=c2,
@@ -179,7 +160,7 @@ def golden_trig(samples: int = 1000, seed: int = 5) -> TrigReport:
         normalization_exact=norm_exact,
         generalized_normalization_exact=gen_ok,
         feasible_radicands=feasible,
-        infeasible_example=infeasible,
+        infeasible_example=10,  # (1 + sqrt(10))/4 > 1: no angle has that cosine
     )
 
 
@@ -190,20 +171,14 @@ def special_case(k: int, m: int, variant: str = "plus", complex_radicand: bool =
     'minus' the -1 offset: x^2 - (2k-1)x + k^2 - k + (1-m)/4. Passing
     complex_radicand=True forces the imaginary case regardless of m's sign:
     the radicand becomes -|m|, the roots (+/-1 + 2k +/- sqrt(|m|)j)/2, and
-    the constant gains (1+|m|)/4. The displayed coefficients are asserted
-    against root arithmetic.
+    the constant gains (1+|m|)/4.
     """
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
     radicand = -abs(m) if complex_radicand else m
     offset = 1 if variant == "plus" else -1
     root = qf_make(Fraction(offset + 2 * k, 2), Fraction(1, 2), radicand)
-    eq = Quadratic.from_roots(root, root.conj())
-    expected_b = -Fraction(2 * k + offset)
-    expected_c = Fraction(k * k + offset * k) + Fraction(1 - radicand, 4)
-    if (eq.b, eq.c) != (expected_b, expected_c) or eq(root) != 0:
-        raise AssertionError("displayed coefficients violated")  # pragma: no cover
-    return eq
+    return Quadratic.from_roots(root, root.conj())
 
 
 @dataclass(frozen=True)
@@ -219,35 +194,32 @@ class PhiLedgerRow:
 
 
 def phi_ledger(n_max: int) -> list[PhiLedgerRow]:
-    """Rows n = 2..n_max of the phi power ledger, each verified exactly.
+    """Rows n = 2..n_max of the phi power ledger, from one Fibonacci walk.
 
-    Row n carries (coeff, const) = (fib(n-1), fib(n-2)), the integer
-    phi^n + conj(phi)^n = coeff + 2*const = fib(n) + fib(n-2), and
-    phi^n - conj(phi)^n = fib(n-1)*sqrt(5). Row 6 is tagged with the errata
-    id for the source text's displayed 8*phi + 3 (derived: 8*phi + 5).
+    Row n carries (coeff, const) = (fib(n-1), fib(n-2)), so phi^n and
+    conj(phi)^n both equal coeff*x + const at their own root x. Since
+    phi + conj(phi) = 1 and phi - conj(phi) = sqrt(5), the row's
+    phi^n + conj(phi)^n is coeff + 2*const and phi^n - conj(phi)^n is
+    coeff*sqrt(5). verify's phi-ledger compares every row with exact powers.
+    Row 6 is tagged with the errata id for the source text's displayed
+    8*phi + 3 (derived: 8*phi + 5).
     """
     if n_max < 2:
         raise ValueError("ledger starts at n = 2")
     rows = []
+    coeff, const = 1, 1  # phi^2 = phi + 1
     for n in range(2, n_max + 1):
-        coeff, const = fib(n - 1), fib(n - 2)
-        power = PHI**n
-        if power != coeff * PHI + const:
-            raise AssertionError(f"power reduction violated at n={n}")  # pragma: no cover
-        if PHI_BAR**n != coeff * PHI_BAR + const:
-            raise AssertionError(f"conjugate symmetry violated at n={n}")  # pragma: no cover
-        power_sum = power + PHI_BAR**n
-        diff = power - PHI_BAR**n
         rows.append(
             PhiLedgerRow(
                 n=n,
                 coeff=coeff,
                 const=const,
-                power_sum=int(power_sum.as_fraction()),
-                diff_coeff=int(diff.coords()[1]),
+                power_sum=coeff + 2 * const,
+                diff_coeff=coeff,
                 errata_id="phi-sixth-power" if n == 6 else None,
             )
         )
+        coeff, const = coeff + const, coeff  # x^(n+1) = x * x^n with x^2 = x + 1
     return rows
 
 
@@ -267,9 +239,5 @@ def phi_properties() -> list[tuple[str, bool]]:
 
 
 def irrationality_bracket() -> tuple[float, float]:
-    """The coarse numeric bracket 1.6 < phi < 1.7."""
-    lo, hi = 1.6, 1.7
-    value = float(PHI)
-    if not lo < value < hi:
-        raise AssertionError("phi escaped its bracket")  # pragma: no cover
-    return lo, hi
+    """The coarse numeric bracket 1.6 < phi < 1.7 (checked by verify's creation-trig)."""
+    return 1.6, 1.7

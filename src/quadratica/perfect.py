@@ -100,16 +100,14 @@ def perfect_from_exponent(p: int) -> PerfectRecord:
     """Build the record for exponent p >= 2; perfect iff 2^p - 1 is prime.
 
     Composite Mersenne numbers are fine (p = 11 gives 2096128 with
-    is_perfect False); the 8P + 1 = (2^(p+1) - 1)^2 and f(x1) = P invariants
-    are asserted on the way out.
+    is_perfect False). verify's lucas-lehmer-vs-divisor-sum checks the
+    invariants f(x1) = P and 8P + 1 = (2^(p+1) - 1)^2.
     """
     if p < 2:
         raise ValueError("exponent must be >= 2")
     mersenne = (1 << p) - 1
     value = (1 << (p - 1)) * mersenne
     x1 = (1 << (p - 1)) - 1
-    if parabola(x1) != value or 8 * value + 1 != ((1 << (p + 1)) - 1) ** 2:
-        raise AssertionError("parabola identities violated")  # pragma: no cover
     return PerfectRecord(
         exponent=p,
         mersenne=mersenne,
@@ -123,8 +121,8 @@ def preimage(value: int) -> Optional[tuple[int, Fraction]]:
     """Invert the parabola on integers: x1 = (-3 + sqrt(1 + 8P))/4 if integral.
 
     Returns (x1, x2) with x2 = -(3 + 2*x1)/2 exact, or None when 1 + 8P is
-    not a perfect square or the root does not land on an integer. The
-    round-trip P = ((4*x1 + 3)^2 - 1)/8 is asserted.
+    not a perfect square or the root does not land on an integer. verify's
+    table-reproduction checks the round trip.
     """
     if value < 1:
         raise ValueError("preimage target must be >= 1")
@@ -133,27 +131,19 @@ def preimage(value: int) -> Optional[tuple[int, Fraction]]:
     if root * root != disc or (root - 3) % 4 != 0:
         return None
     x1 = (root - 3) // 4
-    if ((4 * x1 + 3) ** 2 - 1) // 8 != value:
-        raise AssertionError("preimage round-trip failed")  # pragma: no cover
     return x1, -Fraction(3 + 2 * x1, 2)
 
 
 def parity_map(which: str, n: int) -> int:
     """Evaluate f (parity-flipping) or h (parity-preserving) at an integer.
 
-    The parity contract is asserted: f(odd) is even, f(even) is odd, while
-    h never changes parity.
+    f(odd) is even and f(even) is odd, while h never changes parity; verify's
+    parity-contracts checks both.
     """
     if which == "f":
-        out = parabola(n)
-        if out % 2 == n % 2:
-            raise AssertionError("f must flip parity")  # pragma: no cover
-        return out
+        return parabola(n)
     if which == "h":
-        out = even_preserving_map(n)
-        if out % 2 != n % 2:
-            raise AssertionError("h must preserve parity")  # pragma: no cover
-        return out
+        return even_preserving_map(n)
     raise ValueError("map must be 'f' or 'h'")
 
 
@@ -176,7 +166,7 @@ class SeriesSpec:
 
 
 def series_closed_forms(spec: SeriesSpec) -> tuple[Fraction, Fraction]:
-    """Both closed forms of the arithmetic series, checked against direct summation.
+    """Both closed forms of the arithmetic series (tests compare them with direct summation).
 
     sum   = (d*n^2 + (2b - d)*n) / 2
     square_form = ((2dn + 2b - d)^2 - (2b - d)^2) / (8d)
@@ -189,8 +179,6 @@ def series_closed_forms(spec: SeriesSpec) -> tuple[Fraction, Fraction]:
         raise ZeroDifference("square form needs d != 0")
     plain = (d * n * n + (2 * b - d) * n) / 2
     square_form = ((2 * d * n + 2 * b - d) ** 2 - (2 * b - d) ** 2) / (8 * d)
-    if plain != square_form or plain != spec.direct_sum():
-        raise AssertionError("closed forms disagree")  # pragma: no cover
     return plain, square_form
 
 
@@ -207,16 +195,14 @@ class BridgeReport:
 def sum_squares_bridge(n: int, records: Iterable[PerfectRecord] = ()) -> BridgeReport:
     """Tie the sum of squares to the asymptotic size of perfect numbers.
 
-    Verifies sum_{i=1}^{n} i^2 = n(n+1)(2n+1)/6 by direct accumulation, the
-    identity 6*sum = n*(n+1)*(2n+1), the tail bound |f(n)/n^2 - 2| < 3.1/n
+    Accumulates sum_{i=1}^{n} i^2 directly and reports the identity
+    6*sum = n*(n+1)*(2n+1), the tail bound |f(n)/n^2 - 2| < 3.1/n
     (which holds from n = 11 on; None below), and for each supplied record
     that x1 = floor(sqrt(P/2)), also reachable as floor(sqrt((2^(p+1)-1)^2 - 1))//4.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     total = sum(i * i for i in range(1, n + 1))
-    if 6 * total != n * (n + 1) * (2 * n + 1):
-        raise AssertionError("sum of squares formula violated")  # pragma: no cover
     f_n = (n + 1) * (2 * n + 1)
     ratio_ok = None
     if n >= 11:
@@ -230,7 +216,7 @@ def sum_squares_bridge(n: int, records: Iterable[PerfectRecord] = ()) -> BridgeR
         n=n,
         sum_of_squares=total,
         f_n=f_n,
-        identity_ok=True,
+        identity_ok=6 * total == n * f_n,
         ratio_bound_ok=ratio_ok,
         records_ok=records_ok,
     )
@@ -263,37 +249,27 @@ def chord_geometry(a: RatLike, b: RatLike) -> ChordReport:
     """Exact secant-line and area geometry of the parabola over [a, b], a < b.
 
     The secant through (a, f(a)) and (b, f(b)) has slope 2a + 2b + 3 and
-    intercept 1 - 2ab; the region between it and the parabola has area
-    (b - a)^3 / 3, verified here as trapezoid minus integral. The integral
-    itself is checked against the expanded combination
-    (b-a)/6 * (2f(a) + 2f(b) + 4ab + 3a + 3b + 2). Over the root gap
-    [-1, -1/2] the axis area is 1/24, over [-1/2, 0] it is 5/24 (they sum
-    to 1/4).
+    intercept 1 - 2ab; the region between it and the parabola is trapezoid
+    minus integral, which is (b - a)^3 / 3. Over the root gap [-1, -1/2] the
+    axis area is 1/24, over [-1/2, 0] it is 5/24 (they sum to 1/4). verify's
+    difference-identity checks the secant, the integral against the expanded
+    combination (b-a)/6 * (2f(a) + 2f(b) + 4ab + 3a + 3b + 2), and the
+    chord area.
     """
     a, b = rational(a), rational(b)
     if a >= b:
         raise EmptyInterval("need a < b")
     fa, fb = parabola(a), parabola(b)
-    slope = 2 * a + 2 * b + 3
-    intercept = 1 - 2 * a * b
-    if slope * a + intercept != fa or slope * b + intercept != fb:
-        raise AssertionError("secant line misses the parabola")  # pragma: no cover
     trapezoid = (b - a) / 2 * (fa + fb)
     area = integral(a, b)
-    combo = (b - a) / 6 * (2 * fa + 2 * fb + 4 * a * b + 3 * a + 3 * b + 2)
-    if combo != area:
-        raise AssertionError("integral combination violated")  # pragma: no cover
-    chord_area = trapezoid - area
-    if chord_area != (b - a) ** 3 / 3:
-        raise AssertionError("chord area violated")  # pragma: no cover
     return ChordReport(
         a=a,
         b=b,
-        slope=slope,
-        intercept=intercept,
+        slope=2 * a + 2 * b + 3,
+        intercept=1 - 2 * a * b,
         trapezoid_area=trapezoid,
         parabola_integral=area,
-        chord_area=chord_area,
+        chord_area=trapezoid - area,
         axis_area=abs(area),
     )
 

@@ -4,28 +4,35 @@
 n = 30, hundreds of random samples); `full` runs the acceptance-scale bounds
 (Goldbach to 10^6, 10^4 field-axiom samples per radicand, exhaustive modular
 square roots below 2000). All randomness is seeded, so both scales are
-deterministic. Checks return results instead of raising, so one failure
-doesn't hide the rest; the harness accepts extra caller-supplied checks,
-which doubles as its own fault-injection self-test.
+deterministic. Checks return results instead of raising, and a check that
+raises anyway becomes a failing result, so one failure doesn't hide the
+rest; the harness accepts extra caller-supplied checks, which doubles as its
+own fault-injection self-test.
 
 This module is the only home of the expected values (reference tables,
-constants, identities, brute-force oracles). The acceptance criteria in
+constants, identities, brute-force oracles). The library functions compute
+and do not check themselves; each identity they rest on is checked here
+(or, for a few, by an independent unit test). The acceptance criteria in
 ``tests/test_acceptance.py`` call these checks with their pinned bounds and
 seeds instead of carrying a second copy.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
+import traceback
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 from typing import Callable, Iterable
 
 from . import congruence, errata, fibgroup, geometry, goldbach, metallic, perfect, pnum
 from .intmath import is_prime, sieve_flags
 from .qfield import QuadElem, parse_quad
-from .solver import Quadratic, shift_roots, solve, vertex
+from .solver import Quadratic, RootKind, four_family, shift_roots, solve, vertex
 
 __all__ = ["CheckResult", "run_all", "SCALES"]
 
@@ -123,6 +130,13 @@ def check_vieta_substitution(samples: int, seed: int = 201) -> CheckResult:
         ok = ok and q(pair.r1) == zero and q(pair.r2) == zero
         v = vertex(q)
         ok = ok and v.expand() == q
+    for _ in range(samples):
+        # x -> -x swaps (a) x^2 + px + q with (b) x^2 - px + q, and (c) with (d)
+        p, q = (Fraction(rng.randint(1, 20), rng.randint(1, 10)) for _ in range(2))
+        family = {member.label: member.roots for member in four_family(p, q)}
+        for pos, neg in (("a", "b"), ("c", "d")):
+            ok = ok and {-family[pos].r1, -family[pos].r2} == {family[neg].r1, family[neg].r2}
+        ok = ok and family["d"].kind is RootKind.REAL_DISTINCT  # p^2 + 4q > 0
     return CheckResult("solver", "vieta-substitution-vertex", ok, f"{samples} random quadratics")
 
 
@@ -216,14 +230,27 @@ def check_partial_sums(n_max: int) -> CheckResult:
 
 
 def check_unit_groups() -> CheckResult:
-    g3 = fibgroup.unit_group(fibgroup.Case.III)
-    g4 = fibgroup.unit_group(fibgroup.Case.IV)
-    ok = g3.order == 6 and g4.order == 3
-    for group in (g3, g4):
+    one = QuadElem.from_rational(1)
+    ok = True
+    for case, order in ((fibgroup.Case.III, 6), (fibgroup.Case.IV, 3)):
+        group = fibgroup.unit_group(case)
+        x = fibgroup.case_root(case)
+        elements = set(group.elements)
+        ok = ok and group.order == order == len(elements) and one in elements
+        ok = ok and {x**k for k in range(1, order + 1)} == elements  # cyclic
+        for t in range(11):
+            if case is fibgroup.Case.III:
+                ok = ok and x ** (2 + 6 * t) == x - 1 and x ** (4 + 6 * t) == -x and x ** (6 + 6 * t) == one
+            else:
+                ok = ok and x ** (3 + 3 * t) == one and x ** (4 + 3 * t) == x
+        closed = all(z * w in elements for z in elements for w in elements)
+        ok = ok and closed
+        if not closed:
+            continue  # the Cayley table indexes every product
         table = fibgroup.multiplication_table(group)
         n = group.order
-        identity = group.index_of(QuadElem.from_rational(1))
-        ok = ok and all(sorted(row) == list(range(n)) for row in table)  # closure + cancellation
+        identity = group.index_of(one)
+        ok = ok and all(sorted(row) == list(range(n)) for row in table)  # cancellation
         ok = ok and table[identity] == list(range(n))  # identity row
         ok = ok and all(identity in row for row in table)  # inverses
         ok = ok and all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
@@ -248,16 +275,16 @@ def check_metallic_table() -> CheckResult:
 
 
 def check_phi_ledger(n_max: int) -> CheckResult:
+    phi, phi_bar = fibgroup.PHI, fibgroup.PHI_BAR
     rows = metallic.phi_ledger(n_max)
     ok = all(flag for _, flag in metallic.phi_properties())
-    prev = None
+    ok = ok and [row.n for row in rows] == list(range(2, n_max + 1))
     for row in rows:
-        if prev is not None:
-            ok = ok and (row.coeff, row.const) == (prev.coeff + prev.const, prev.coeff)
-        ok = ok and row.power_sum == row.coeff + 2 * row.const
-        diff = fibgroup.PHI**row.n - fibgroup.PHI_BAR**row.n
-        ok = ok and diff == QuadElem(0, row.diff_coeff, 5) and row.diff_coeff == row.coeff
-        prev = row
+        power, power_bar = phi**row.n, phi_bar**row.n
+        ok = ok and power == row.coeff * phi + row.const
+        ok = ok and power_bar == row.coeff * phi_bar + row.const
+        ok = ok and power + power_bar == QuadElem.from_rational(row.power_sum)
+        ok = ok and power - power_bar == QuadElem(0, row.diff_coeff, 5)
     ok = ok and any(row.errata_id == "phi-sixth-power" for row in rows if row.n == 6)
     ok = ok and fibgroup.PHI**6 == 8 * fibgroup.PHI + 5
     ok = ok and "8φ + 5" in errata.get_entry("phi-sixth-power").derived
@@ -280,6 +307,9 @@ def check_creation_and_trig() -> CheckResult:
     )
     report = metallic.golden_trig()
     ok = ok and report.ok
+    # cos(t) = PHI/2 needs (1 + sqrt(m))/4 <= 1
+    ok = ok and all((1 + math.sqrt(m)) / 4 <= 1 for m in report.feasible_radicands)
+    ok = ok and (1 + math.sqrt(report.infeasible_example)) / 4 > 1
     lo, hi = metallic.irrationality_bracket()
     ok = ok and lo < float(fibgroup.PHI) < hi
     return CheckResult("metallic", "creation-trig", ok, "exact halves + 1e-12 numerics")
@@ -381,6 +411,8 @@ def check_perfect_records(p_max: int = 19) -> CheckResult:
             continue
         rec = perfect.perfect_from_exponent(p)
         ok = ok and rec.is_perfect == perfect.divisor_sum_is_perfect(rec.value)
+        ok = ok and perfect.parabola(rec.x1) == rec.value
+        ok = ok and 8 * rec.value + 1 == ((1 << (p + 1)) - 1) ** 2
     return CheckResult("perfect", "lucas-lehmer-vs-divisor-sum", ok, f"prime exponents <= {p_max}")
 
 
@@ -403,17 +435,26 @@ def check_x1_forms(limit: int = 60) -> CheckResult:
 
 
 def check_difference_identity(samples: int, seed: int = 401) -> CheckResult:
+    """f(a) - f(b) = (a - b)(2a + 2b + 3), and the chord geometry of each pair."""
     rng = random.Random(seed)
-    ok = all(
-        perfect.difference_identity(_rand_frac(rng), _rand_frac(rng)) for _ in range(samples)
-    )
+    ok = True
+    for _ in range(samples):
+        a, b = _rand_frac(rng), _rand_frac(rng)
+        ok = ok and perfect.difference_identity(a, b)
+        if a == b:
+            continue
+        a, b = min(a, b), max(a, b)
+        chord = perfect.chord_geometry(a, b)
+        fa, fb = perfect.parabola(a), perfect.parabola(b)
+        ok = ok and chord.slope * a + chord.intercept == fa and chord.slope * b + chord.intercept == fb
+        combo = (b - a) / 6 * (2 * fa + 2 * fb + 4 * a * b + 3 * a + 3 * b + 2)
+        ok = ok and chord.parabola_integral == combo
+        ok = ok and chord.chord_area == (b - a) ** 3 / 3
     zero_case = perfect.parabola(Fraction(-1)) == 0 and perfect.parabola(Fraction(-1, 2)) == 0
     return CheckResult("perfect", "difference-identity", ok and zero_case, f"{samples} rational pairs")
 
 
 def check_areas_and_constants() -> CheckResult:
-    import math
-
     left = perfect.chord_geometry(Fraction(-1), Fraction(-1, 2))
     right = perfect.chord_geometry(Fraction(-1, 2), Fraction(0))
     ok = left.axis_area == Fraction(1, 24) and right.axis_area == Fraction(5, 24)
@@ -482,8 +523,7 @@ def check_goldbach_range(stop: int) -> CheckResult:
         "goldbach",
         "witness-range",
         ok,
-        f"{summary.count} even N <= {stop}, max I = {summary.max_i} at N = {summary.n_at_max_i}, "
-        f"{summary.elapsed:.1f}s",
+        f"{summary.count} even N <= {stop}, max I = {summary.max_i} at N = {summary.n_at_max_i}",
     )
 
 
@@ -495,6 +535,12 @@ def check_goldbach_areas(samples: int, seed: int = 501) -> CheckResult:
     for _ in range(samples):
         p, q = rng.sample(primes, 2)
         p, q = max(p, q), min(p, q)
+        parab = goldbach.witness_parabola(p, q)
+        pair = solve(parab.quadratic)
+        ok = ok and {pair.r1.as_fraction(), pair.r2.as_fraction()} == {p, q}
+        v = vertex(parab.quadratic)
+        ok = ok and (v.h, v.k) == (parab.vertex_x, parab.vertex_y)
+        ok = ok and parab.quadratic(parab.vertex_x) == -Fraction(p - q, 2) ** 2  # -I^2
         report = goldbach.witness_areas(p, q)
         i3 = Fraction(report.I) ** 3
         ok = ok and report.parabola_area == Fraction(4, 3) * i3
@@ -503,7 +549,8 @@ def check_goldbach_areas(samples: int, seed: int = 501) -> CheckResult:
         ok = ok and report.rectangle_area / report.parabola_area == Fraction(3, 2)
         ok = ok and report.rectangle_area / report.triangle_area == 2
         ok = ok and report.parabola_area / report.triangle_area == Fraction(4, 3)
-        ok = ok and report.leading_segment == Fraction(q * q * (3 * p - q), 6)
+        # integral of (x - p)(x - q) over [0, q]: F(q) - F(0) with F(0) = 0
+        ok = ok and report.leading_segment == Fraction(q**3, 3) - Fraction((p + q) * q * q, 2) + p * q * q
     ok = ok and goldbach.hypotenuse_number(6, 5, 1) == (169, goldbach.HypClass.PRIME_SQUARE)
     ok = ok and goldbach.hypotenuse_number(6, 7, 1) == (193, goldbach.HypClass.PRIME)
     return CheckResult("goldbach", "area-identities", ok, f"{samples} random witness pairs")
@@ -522,7 +569,8 @@ def check_hypotenuse_identity(samples: int, seed: int = 502) -> CheckResult:
             continue
         l = rng.choice((1, 2, 3))
         h, _ = goldbach.hypotenuse_number(n, i, l)
-        ok = ok and h == (2 * n) ** (2 * l) + i ** (2 * l)
+        p, q = 2 * n + i, 2 * n - i
+        ok = ok and (p + q) ** (2 * l) + (p - q) ** (2 * l) == h * 2 ** (2 * l)
         done += 1
     return CheckResult("goldbach", "hypotenuse-quotient", ok, f"{samples} coprime pairs, l in 1..3")
 
@@ -533,6 +581,9 @@ def check_parity_lemma(limit: int = 99) -> CheckResult:
         for q in range(1, p + 1, 2):
             mp, ip = goldbach.parity_lemma(p, q)
             ok = ok and mp != ip
+            # each odd number is 4k+1 or 4v-1: mixed classes make M = 2(k+v)
+            # even, matching classes make I = 2(k-v) even
+            ok = ok and (mp == "even") == (p % 4 != q % 4)
     return CheckResult("goldbach", "parity-lemma", ok, f"all odd pairs <= {limit}")
 
 
@@ -577,13 +628,22 @@ def check_geometry() -> CheckResult:
         volume = float(row1.volume)
         ok = ok and abs(float(third) - volume) <= 1e-12 * max(1.0, volume)
     a, b = geometry.golden_cut(1)
-    ok = ok and a * a == b * (a + b)
+    ok = ok and a * a == b * (a + b) and a / b == fibgroup.PHI
     traj = geometry.trajectory(10.0, 0.785398163, 9.8)
     ok = ok and abs(traj.range_x - 10.204081632653061) < 1e-6
+    ok = ok and abs(traj.range_x - 2 * traj.apex_x) <= 1e-9 * max(1.0, abs(traj.range_x))
     return CheckResult("geometry", "platonic-goldencut-trajectory", ok, "5 solids, scale law")
 
 
 # ---------------------------------------------------------------- harness
+
+
+def _raised(check: Callable[[], CheckResult], exc: Exception) -> CheckResult:
+    """The failing result of a check that raised instead of returning one."""
+    name = getattr(getattr(check, "func", check), "__name__", repr(check))
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    where = f"{Path(frame.filename).name}:{frame.lineno}"
+    return CheckResult("verify", name, False, f"{name} raised {type(exc).__name__}: {exc} (at {where})")
 
 
 def run_all(
@@ -594,41 +654,44 @@ def run_all(
         raise ValueError(f"scale must be one of {SCALES}")
     full = scale == "full"
     checks: list[Callable[[], CheckResult]] = [
-        lambda: check_field_axioms(10_000 if full else 300),
-        lambda: check_text_round_trip(),
-        lambda: check_vieta_substitution(2000 if full else 200),
-        lambda: check_shift_companion(10_000 if full else 500),
-        lambda: check_pq_specializations(),
-        lambda: check_power_reduction(90),
-        lambda: check_telescoping(90),
-        lambda: check_partial_sums(200 if full else 30),
+        partial(check_field_axioms, 10_000 if full else 300),
+        check_text_round_trip,
+        partial(check_vieta_substitution, 2000 if full else 200),
+        partial(check_shift_companion, 10_000 if full else 500),
+        check_pq_specializations,
+        partial(check_power_reduction, 90),
+        partial(check_telescoping, 90),
+        partial(check_partial_sums, 200 if full else 30),
         check_unit_groups,
         check_metallic_table,
-        lambda: check_phi_ledger(90 if full else 30),
-        lambda: check_integer_root_family(),
+        partial(check_phi_ledger, 90 if full else 30),
+        check_integer_root_family,
         check_creation_and_trig,
-        lambda: check_sqrt_mod_exhaustive(2000 if full else 200),
-        lambda: check_quad_mod_random(1000 if full else 150),
-        lambda: check_four_t_plus_one(100_000 if full else 10_000),
-        lambda: check_legendre_multiplicative(),
+        partial(check_sqrt_mod_exhaustive, 2000 if full else 200),
+        partial(check_quad_mod_random, 1000 if full else 150),
+        partial(check_four_t_plus_one, 100_000 if full else 10_000),
+        check_legendre_multiplicative,
         check_perfect_table,
-        lambda: check_perfect_records(19 if full else 13),
-        lambda: check_parity_contracts(10_000 if full else 1000),
-        lambda: check_x1_forms(),
-        lambda: check_difference_identity(10_000 if full else 500),
+        partial(check_perfect_records, 19 if full else 13),
+        partial(check_parity_contracts, 10_000 if full else 1000),
+        check_x1_forms,
+        partial(check_difference_identity, 10_000 if full else 500),
         check_areas_and_constants,
-        lambda: check_h_never_perfect(1_000_000 if full else 10_000),
-        lambda: check_goldbach_range(1_000_000 if full else 10_000),
-        lambda: check_goldbach_areas(1000 if full else 100),
-        lambda: check_hypotenuse_identity(1000 if full else 100),
-        lambda: check_parity_lemma(),
-        lambda: check_pnum(20_000 if full else 2000),
+        partial(check_h_never_perfect, 1_000_000 if full else 10_000),
+        partial(check_goldbach_range, 1_000_000 if full else 10_000),
+        partial(check_goldbach_areas, 1000 if full else 100),
+        partial(check_hypotenuse_identity, 1000 if full else 100),
+        check_parity_lemma,
+        partial(check_pnum, 20_000 if full else 2000),
         check_geometry,
     ]
     checks.extend(extra_checks)
     results = []
     for check in checks:
         start = time.perf_counter()
-        result = check()
+        try:
+            result = check()
+        except Exception as exc:  # a check that raises is a failure, not the end of the run
+            result = _raised(check, exc)
         results.append(replace(result, elapsed=time.perf_counter() - start))
     return results

@@ -158,6 +158,18 @@ class TestGoldbachCommands:
         code, _, err = run(capsys, "goldbach", "witness", "7")
         assert code == 1
 
+    def test_verify_to_bounded(self, capsys):
+        code, out, err = run(capsys, "goldbach", "verify", "--to", str(10**8 + 1), "--json")
+        envelope = json.loads(err)["error"]
+        assert code == 1 and out == ""
+        assert envelope["type"] == "InputTooLarge" and f"<= {10**8}" in envelope["message"]
+
+    def test_witness_all_bounded_by_the_sieve_cap(self, capsys):
+        code, out, err = run(capsys, "goldbach", "witness", str(10**7 + 2), "--all", "--json")
+        envelope = json.loads(err)["error"]
+        assert code == 1 and out == ""
+        assert envelope["type"] == "InputTooLarge" and f"<= {10**7}" in envelope["message"]
+
 
 class TestPerfectCommands:
     def test_preimage(self, capsys):
@@ -334,6 +346,37 @@ class TestVerifyCommand:
 
         results = run_all("quick", extra_checks=[lambda: CheckResult("self", "fault", False, "injected")])
         assert any(not r.ok for r in results)
+
+    def test_raising_check_becomes_a_failure(self):
+        from quadratica.verify import run_all
+
+        def broken_check():
+            raise AssertionError("injected")
+
+        results = run_all("quick", extra_checks=[broken_check])
+        assert len(results) == 31
+        assert all(r.ok for r in results[:-1])
+        last = results[-1]
+        assert not last.ok and last.name == "broken_check"
+        assert last.detail.startswith("broken_check raised AssertionError: injected")
+
+    def test_raising_check_reports_without_traceback(self, capsys, monkeypatch):
+        from quadratica import cli
+
+        def check_geometry():
+            raise AssertionError("injected")
+
+        monkeypatch.setattr(cli.verify, "check_geometry", check_geometry)
+        code, out, err = run(capsys, "verify")
+        assert code == 1 and "Traceback" not in err
+        assert "FAIL  verify.check_geometry  (check_geometry raised AssertionError: injected" in out
+        assert "total: 29/30 checks passed" in out
+
+    def test_witness_range_detail_has_no_wall_time(self):
+        from quadratica.verify import check_goldbach_range
+
+        first, second = check_goldbach_range(10_000), check_goldbach_range(10_000)
+        assert first.detail == second.detail == "4999 even N <= 10000, max I = 228 at N = 7102"
 
     def test_fault_injection_exit_code(self, capsys, monkeypatch):
         from quadratica import cli
