@@ -430,7 +430,7 @@ _GOLDBACH_VERIFY_MAX = 10**8
 def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
     if args.gb_action == "witness":
         if args.all:
-            # above the sieve cap every one of ~N/4 candidates gets a Miller-Rabin test
+            # above the sieve cap every one of ~N/4 candidates gets a primality test
             if args.n > goldbach._SIEVE_CAP:
                 raise InputTooLarge(f"witness --all needs N <= {goldbach._SIEVE_CAP}, got {args.n}")
             found = goldbach.witnesses(args.n)

@@ -10,7 +10,7 @@ bundle A_s = (4/3)I^3, A_r = 2I^3, A_t = I^3.
 
 Primality below the sieve limit is an array lookup; a single witness
 search above _SIEVE_CAP leaves the sieve alone and tests candidates with
-the deterministic Miller-Rabin instead. Range verification holds the
+:func:`quadratica.intmath.is_prime` instead. Range verification holds the
 primes as the bits of one integer P and resolves every N = 2M of the range
 at once: for I = 0, 1, 2, ... the mask (P >> I) & (P << I) marks each M
 with M + I and M - I both prime, and the first I that marks an M is its
@@ -66,8 +66,8 @@ def _is_prime_cached(n: int) -> bool:
     return is_prime(n)
 
 
-class _MillerRabinFlags:
-    """Read-only stand-in for the sieve above _SIEVE_CAP: flags[n] tests n directly."""
+class _PrimeTestFlags:
+    """Read-only stand-in for the sieve above _SIEVE_CAP: flags[n] runs the primality test on n."""
 
     __getitem__ = staticmethod(_is_prime_cached)
 
@@ -76,7 +76,7 @@ def _witness_flags(n: int):
     """Primality flags for 0..n: the sieve, grown to n only up to _SIEVE_CAP."""
     if n < len(_sieve) or n <= _SIEVE_CAP:
         return _ensure_sieve(n)
-    return _MillerRabinFlags()
+    return _PrimeTestFlags()
 
 
 def parity_lemma(p: int, q: int) -> tuple[str, str]:
@@ -134,7 +134,7 @@ def find_witness(n: int, sieve: Optional[bytearray] = None) -> GoldbachWitness:
     over the parity class opposite M. Exhausting I < M raises
     NoWitnessFound, which would be a Goldbach counterexample and is worth
     shouting about. Up to _SIEVE_CAP the sieve is grown to n; above it
-    each candidate gets a Miller-Rabin test, so memory stays bounded.
+    each candidate gets a primality test, so memory stays bounded.
     """
     if n < 4 or n % 2:
         raise ValueError(f"witness targets are even n >= 4, got {n}")

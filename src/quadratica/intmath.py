@@ -3,6 +3,11 @@
 Everything here is exact; no floats. These routines back the radicand
 canonicalization in :mod:`quadratica.qfield` and the prime tests used by the
 congruence and Goldbach machinery.
+
+:func:`is_prime` works in four bands: trial division by the primes up to 47
+(n < 2809), Baillie-PSW below 2^64, the 13 Miller-Rabin bases 2..41 below
+psi_13 ~ 3.3 * 10^24, and Baillie-PSW again above. The first three bands are
+proven; in the last a True is a probable prime and a False is proven.
 """
 
 from __future__ import annotations
@@ -75,39 +80,107 @@ def rational_sqrt_decompose(f: Fraction) -> tuple[Fraction, int]:
 # psi_12 = 318665857834031151167461 fools the first 12 bases; no composite
 # below psi_13 fools all 13 (Sorenson-Webster, Math. Comp. 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# an n with no prime factor <= 47 and n < 53^2 is prime
+_TRIAL_LIMIT = 53 * 53
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test with the 13 prime bases 2..41.
+    """Primality in four bands; only the last answer is probable.
 
-    Deterministic (proven correct) for n < psi_13 = 3317044064679887385961981,
-    about 3.3 * 10^24. At or above that bound the answer is a 13-base strong
-    probable-prime test: a True may be wrong (psi_13 itself passes), a False
-    is always right.
+    1. Trial division by the primes up to 47 decides every n < 53^2 = 2809.
+    2. n < 2^64: Baillie-PSW, a strong base-2 test and a strong Lucas test
+       with Selfridge's parameters. Proven: no base-2 strong pseudoprime
+       below 2^64 is a strong Lucas pseudoprime (Feitsma-Galway enumeration).
+    3. 2^64 <= n < psi_13 = 3317044064679887385961981: Miller-Rabin with the
+       13 prime bases 2..41, proven by Sorenson-Webster.
+    4. n >= psi_13: Baillie-PSW again. No counterexample is known, but none
+       is ruled out either: a True may be wrong, a False is always right.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    if n < _TRIAL_LIMIT:
+        return True
+    if n < 1 << 64 or n >= _PSI_13:
+        return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+    return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: n - 1 = d * 2^s, and a^d = 1 or a^(d 2^r) = -1 mod n."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test for odd n > 2809 with no factor <= 47.
+
+    Selfridge's method A: D is the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D)/4. With n + 1 = d * 2^s, n passes
+    when U_d = 0 or V_(d 2^r) = 0 mod n for some 0 <= r < s. A square n
+    has no such D, so it is refused before the search.
+    """
+    if is_square(n):
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:  # gcd(D, n) > 1 with |D| < n
             return False
-    return True
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    # left to right over the bits of d, from k = 1: U_1 = 1, V_1 = P = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2, halved mod odd n
+            U, V = U + V, D * U + V
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U, V, Qk = (U >> 1) % n, (V >> 1) % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
 
 
 def sieve_flags(limit: int) -> bytearray:

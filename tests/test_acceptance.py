@@ -33,8 +33,8 @@ def test_criterion_01_perfect_table():
 
 
 def test_criterion_02_parabola_constants():
-    description = "vertex (-3/4, -1/8), areas 1/24 + 5/24 = 1/4, irrational constants"
-    report(2, description, verify.check_areas_and_constants())
+    description = "vertex (-3/4, -1/8), areas 1/24 + 5/24 = 1/4, irrational constants, chord geometry"
+    report(2, description, verify.check_areas_and_constants(), verify.check_difference_identity(500))
 
 
 def test_criterion_03_metallic_table():
@@ -71,8 +71,8 @@ def test_criterion_07_fibonacci_ledger():
 
 
 def test_criterion_08_shift_companions():
-    description = "10^4 random shift trials match x^2-(p+2k)x+(k^2+pk+q); errata present"
-    report(8, description, verify.check_shift_companion(10_000, seed=808))
+    description = "10^4 random shift trials match x^2-(p+2k)x+(k^2+pk+q); errata present; four-family roots"
+    report(8, description, verify.check_shift_companion(10_000, seed=808), verify.check_vieta_substitution(200))
 
 
 def test_criterion_09_platonic_identity():

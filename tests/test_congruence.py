@@ -29,6 +29,8 @@ ODD_PRIMES = [p for p in range(3, 2000) if FLAGS[p]]
 
 # smallest strong pseudoprime to the 12 prime bases 2..37
 PSI_12 = 399165290221 * 798330580441
+# smallest strong pseudoprime to the 13 prime bases 2..41
+PSI_13 = 3317044064679887385961981
 
 
 def brute_sqrt(r: int, p: int) -> list[int]:
@@ -99,6 +101,10 @@ class TestSqrtMod:
     def test_strong_pseudoprime_modulus_rejected(self):
         with pytest.raises(CompositeModulus):
             sqrt_mod(4, PSI_12)
+
+    def test_psi_13_modulus_rejected(self):
+        with pytest.raises(CompositeModulus):
+            sqrt_mod(4, PSI_13)
 
     def test_tonelli_heavy_two_power(self):
         # p - 1 with a large power of two exercises the full loop

@@ -69,15 +69,30 @@ class TestSquarefree:
 
 class TestPrimality:
     def test_matches_sieve(self):
-        flags = sieve_flags(50_000)
-        for n in range(50_000):
+        flags = sieve_flags(200_000)
+        for n in range(200_000):
             assert is_prime(n) == bool(flags[n])
 
     def test_strong_pseudoprimes(self):
-        # composites that fool single-witness tests, and psi_12, the smallest
-        # strong pseudoprime to all twelve prime bases 2..37
-        for n in (3215031751, 3474749660383, 341550071728321, 399165290221 * 798330580441):
+        # composites that fool single-witness tests, and psi_12 and psi_13, the
+        # smallest strong pseudoprimes to all prime bases 2..37 and 2..41
+        psi_12, psi_13 = 399165290221 * 798330580441, 3317044064679887385961981
+        for n in (3215031751, 3474749660383, 341550071728321, psi_12, psi_13):
             assert not is_prime(n)
+
+    def test_strong_lucas_pseudoprimes_fail_base_2(self):
+        # strong Lucas pseudoprimes with Selfridge's parameters (OEIS A217255)
+        for n in (5459, 5777, 10877):
+            assert not is_prime(n)
+
+    def test_base_2_strong_pseudoprimes_fail_lucas(self):
+        # base-2 strong pseudoprimes with no prime factor <= 47 (OEIS A001262)
+        for n in (8321, 42799, 49141):
+            assert not is_prime(n)
+
+    def test_primes_at_the_2_64_band_edge(self):
+        assert is_prime(2**64 - 59) and is_prime(2**64 + 13)
+        assert not is_prime(2**64 - 1) and not is_prime(2**64 + 1)
 
     def test_large_known(self):
         assert is_prime(2**89 - 1)
