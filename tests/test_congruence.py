@@ -99,12 +99,9 @@ class TestSqrtMod:
             assert u * u % p == r % p
 
     def test_strong_pseudoprime_modulus_rejected(self):
-        with pytest.raises(CompositeModulus):
-            sqrt_mod(4, PSI_12)
-
-    def test_psi_13_modulus_rejected(self):
-        with pytest.raises(CompositeModulus):
-            sqrt_mod(4, PSI_13)
+        for n in (PSI_12, PSI_13):
+            with pytest.raises(CompositeModulus):
+                sqrt_mod(4, n)
 
     def test_tonelli_heavy_two_power(self):
         # p - 1 with a large power of two exercises the full loop
