@@ -20,11 +20,11 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import congruence, errata, fibgroup, geometry, goldbach, metallic, perfect, pnum, verify
 from .errors import DomainError, InputTooLarge
-from .qfield import QuadElem, parse_quad, qf_arith, qf_conj_norm, qf_coords, qf_make, qf_sqrt_solution, rat_to_dict
+from .qfield import parse_quad, qf_arith, qf_conj_norm, qf_coords, qf_make, qf_sqrt_solution, rat_to_dict
 from .solver import (
     Quadratic,
     disc_derivative_identity,
@@ -65,19 +65,11 @@ class Output:
     failed: bool = False  # exit 1 even though the command ran
 
 
-def _quad_json(z: QuadElem) -> dict:
-    return z.to_dict()
-
-
-def _poly_json(q: Quadratic) -> dict:
-    return q.to_dict()
-
-
 def _rootpair_json(pair) -> dict:
     return {
         "kind": pair.kind.value,
-        "r1": _quad_json(pair.r1),
-        "r2": _quad_json(pair.r2),
+        "r1": pair.r1.to_dict(),
+        "r2": pair.r2.to_dict(),
     }
 
 
@@ -97,7 +89,7 @@ def _cmd_solve(args, cfg: OutputConfig) -> Output:
         f"discriminant: {q.discriminant}",
     ]
     data = {
-        "equation": _poly_json(q),
+        "equation": q.to_dict(),
         "roots": _rootpair_json(pair),
         "vertex": {"h": rat_to_dict(v.h), "k": rat_to_dict(v.k)},
         "discriminant": rat_to_dict(q.discriminant),
@@ -113,7 +105,7 @@ def _cmd_solve_extras(args, cfg: OutputConfig) -> Output:
         for member in members:
             lines.append(f"({member.label}) {member.quadratic} = 0  ->  {member.roots.r1}, {member.roots.r2}")
             data[member.label] = {
-                "equation": _poly_json(member.quadratic),
+                "equation": member.quadratic.to_dict(),
                 "roots": _rootpair_json(member.roots),
             }
         return Output(lines, data)
@@ -122,7 +114,7 @@ def _cmd_solve_extras(args, cfg: OutputConfig) -> Output:
         shifted = shift_roots(q, Fraction(args.k))
         return Output(
             [f"shifted by {args.k}: {shifted} = 0"],
-            {"shifted": _poly_json(shifted), "k": rat_to_dict(Fraction(args.k))},
+            {"shifted": shifted.to_dict(), "k": rat_to_dict(Fraction(args.k))},
         )
     if args.action == "derivative":
         report = disc_derivative_identity(q)
@@ -135,9 +127,9 @@ def _cmd_solve_extras(args, cfg: OutputConfig) -> Output:
         return Output(
             lines,
             {
-                "x1": _quad_json(report.x1),
-                "x2": _quad_json(report.x2),
-                "sqrt_disc": _quad_json(report.sqrt_disc),
+                "x1": report.x1.to_dict(),
+                "x2": report.x2.to_dict(),
+                "sqrt_disc": report.sqrt_disc.to_dict(),
                 "check": report.check,
             },
         )
@@ -145,7 +137,7 @@ def _cmd_solve_extras(args, cfg: OutputConfig) -> Output:
         mode = ode_classify(Fraction(args.a), Fraction(args.b), Fraction(args.c))
         return Output(
             [f"kind: {mode.kind.value}", f"r1: {mode.r1}", f"r2: {mode.r2}"],
-            {"kind": mode.kind.value, "r1": _quad_json(mode.r1), "r2": _quad_json(mode.r2)},
+            {"kind": mode.kind.value, "r1": mode.r1.to_dict(), "r2": mode.r2.to_dict()},
         )
     raise ValueError(f"unknown action {args.action}")  # pragma: no cover
 
@@ -153,17 +145,17 @@ def _cmd_solve_extras(args, cfg: OutputConfig) -> Output:
 def _cmd_qfield(args, cfg: OutputConfig) -> Output:
     if args.qf_action == "make":
         z = qf_make(Fraction(args.a), Fraction(args.b), args.m)
-        return Output([str(z)], {"element": _quad_json(z)})
+        return Output([str(z)], {"element": z.to_dict()})
     if args.qf_action == "op":
         z, w = parse_quad(args.z), parse_quad(args.w)
         result = qf_arith(args.operation, z, w)
-        return Output([str(result)], {"result": _quad_json(result)})
+        return Output([str(result)], {"result": result.to_dict()})
     if args.qf_action == "conj":
         z = parse_quad(args.z)
         zbar, norm = qf_conj_norm(z)
         return Output(
             [f"conjugate: {zbar}", f"norm: {norm}"],
-            {"conjugate": _quad_json(zbar), "norm": rat_to_dict(norm)},
+            {"conjugate": zbar.to_dict(), "norm": rat_to_dict(norm)},
         )
     if args.qf_action == "coords":
         a, b = qf_coords(parse_quad(args.z))
@@ -172,37 +164,40 @@ def _cmd_qfield(args, cfg: OutputConfig) -> Output:
         plus, minus = qf_sqrt_solution(args.m)
         return Output(
             [f"+root: {plus}", f"-root: {minus}"],
-            {"plus": _quad_json(plus), "minus": _quad_json(minus)},
+            {"plus": plus.to_dict(), "minus": minus.to_dict()},
         )
     raise ValueError(f"unknown action {args.qf_action}")  # pragma: no cover
 
 
-def _fib_max_index() -> Optional[int]:
-    """Largest n whose fib(n) fits the interpreter's int-to-str digit limit (None: no limit).
+def _check_printable(what: str, n: int, largest: Callable[[int], int]) -> None:
+    """Refuse n when the largest integer printed at index n, largest(n), passes the int-to-str limit.
 
-    fib(n) ~ phi^(n+1)/sqrt(5) gives the estimate; exact comparisons settle it.
+    Every largest() grows like phi^n: that estimates the cap, and exact comparisons settle it.
     """
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not digits:
-        return None
-    n = int((digits + math.log10(5) / 2) / math.log10(float(fibgroup.PHI)))
-    while fibgroup.fib(n + 1) < 10**digits:
-        n += 1
-    while fibgroup.fib(n) >= 10**digits:
-        n -= 1
-    return n
+        return
+    cap = int(digits / math.log10(float(fibgroup.PHI)))
+    while largest(cap + 1) < 10**digits:
+        cap += 1
+    while largest(cap) >= 10**digits:
+        cap -= 1
+    if n > cap:
+        raise InputTooLarge(f"{what} must be <= {cap}, the last whose integers have <= {digits} digits; got {n}")
+
+
+def _power_sum_largest(case: fibgroup.Case, n: int) -> int:
+    a, b = fibgroup.closed_power_sum(case, n).coords()
+    return max(abs(a.numerator), a.denominator, abs(b.numerator), b.denominator)
 
 
 def _cmd_fib(args, cfg: OutputConfig) -> Output:
     if args.fib_action == "value":
-        cap = _fib_max_index()
-        if cap is not None and args.n > cap:
-            raise InputTooLarge(
-                f"fib value index must be <= {cap} (the largest fib(n) of at most "
-                f"{sys.get_int_max_str_digits()} digits), got {args.n}"
-            )
+        _check_printable("fib value index", args.n, fibgroup.fib)
         return Output([str(fibgroup.fib(args.n))], {"n": args.n, "value": fibgroup.fib(args.n)})
     if args.fib_action == "reduce":
+        # coeff = F(n) = fib(n - 1) is the larger of the pair
+        _check_printable("fib reduce --n", args.n, lambda n: fibgroup.fib(n - 1))
         pair = fibgroup.power_reduce(fibgroup.Case(args.case), args.n)
         root = "x"
         return Output(
@@ -210,10 +205,14 @@ def _cmd_fib(args, cfg: OutputConfig) -> Output:
             {"case": args.case, "n": args.n, "coeff": pair.coeff, "const": pair.const},
         )
     if args.fib_action == "sum":
-        total = fibgroup.partial_power_sum(fibgroup.Case(args.case), args.n)
+        case = fibgroup.Case(args.case)
+        if case in (fibgroup.Case.I, fibgroup.Case.II):
+            # x is a sixth or a cube root of unity in Cases III and IV, so those sums stay small
+            _check_printable(f"fib sum --case {args.case} --n", args.n, lambda n: _power_sum_largest(case, n))
+        total = fibgroup.partial_power_sum(case, args.n)
         return Output(
             [f"sum_{{k=1}}^{args.n} x^k = {total}"],
-            {"case": args.case, "n": args.n, "sum": _quad_json(total)},
+            {"case": args.case, "n": args.n, "sum": total.to_dict()},
         )
     if args.fib_action == "group":
         group = fibgroup.unit_group(fibgroup.Case(args.case))
@@ -228,7 +227,7 @@ def _cmd_fib(args, cfg: OutputConfig) -> Output:
         data = {
             "case": args.case,
             "order": group.order,
-            "elements": [_quad_json(z) for z in group.elements],
+            "elements": [z.to_dict() for z in group.elements],
             "table": table,
         }
         rows = [[""] + labels] + [
@@ -252,8 +251,8 @@ def _cmd_metallic(args, cfg: OutputConfig) -> Output:
                 {
                     "p": entry.p,
                     "q": entry.q,
-                    "equation": _poly_json(entry.equation),
-                    "sigma": _quad_json(entry.sigma),
+                    "equation": entry.equation.to_dict(),
+                    "sigma": entry.sigma.to_dict(),
                     "name": entry.name,
                 }
             )
@@ -265,7 +264,7 @@ def _cmd_metallic(args, cfg: OutputConfig) -> Output:
         if cls.equation is not None:
             lines.append(f"n: {cls.n}")
             lines.append(f"equation: {cls.equation} = 0")
-            data["equation"] = _poly_json(cls.equation)
+            data["equation"] = cls.equation.to_dict()
         return Output(lines, data)
     if args.metal_action == "creation":
         value = metallic.creation_equation(args.m)
@@ -274,6 +273,8 @@ def _cmd_metallic(args, cfg: OutputConfig) -> Output:
             {"m": args.m, "value": rat_to_dict(value)},
         )
     if args.metal_action == "ledger":
+        # row n's largest entry is its power_sum, coeff + 2*const = fib(n) + fib(n - 2)
+        _check_printable("metallic ledger --n", args.n, lambda n: fibgroup.fib(n) + fibgroup.fib(n - 2))
         ledger_rows = metallic.phi_ledger(args.n)
         lines = []
         rows = [["n", "coeff", "const", "power_sum", "diff_coeff", "errata"]]
@@ -346,6 +347,11 @@ def _cmd_cong(args, cfg: OutputConfig) -> Output:
     raise ValueError(f"unknown action {args.cong_action}")  # pragma: no cover
 
 
+# The samplers build every row before printing: 10^5 steps take ~1.7 s and ~60 MB
+# in perfect plot (exact x values) and ~0.5 s and ~50 MB in geom trajectory;
+# 10^6 steps took ~20 s and ~380 MB in perfect plot.
+_MAX_SAMPLE_STEPS = 10**5
+
 # Each row runs a Lucas-Lehmer test of 2^p - 1, so the table costs about
 # max_exp^3 bit operations: 2000 takes ~2 s, 4000 ~30 s, 7200 minutes.
 _PERFECT_TABLE_MAX_EXP = 2000
@@ -412,11 +418,13 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
         step = Fraction(args.step)
         if step <= 0 or stop < start:
             raise ValueError("need step > 0 and stop >= start")
+        steps = (stop - start) // step
+        if steps > _MAX_SAMPLE_STEPS:
+            raise InputTooLarge(f"perfect plot takes at most {_MAX_SAMPLE_STEPS} steps, got {steps}")
         rows = [["x", "fx"]]
-        x = start
-        while x <= stop:
+        for k in range(steps + 1):
+            x = start + k * step
             rows.append([cfg.fnum(float(x)), cfg.fnum(float(perfect.parabola(x)))])
-            x += step
         lines = [f"{r[0]},{r[1]}" for r in rows]
         return Output(lines, {"rows": rows[1:]}, rows)
     raise ValueError(f"unknown action {args.perfect_action}")  # pragma: no cover
@@ -476,6 +484,7 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
             "N_at_max_I": summary.n_at_max_i,
             "elapsed_seconds": summary.elapsed,
             "report": summary.csv_path,
+            "histogram": summary.histogram,
         }
         return Output(lines, data)
     if args.gb_action == "areas":
@@ -493,7 +502,7 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
             "p": report.p,
             "q": report.q,
             "I": report.I,
-            "parabola": _poly_json(parab.quadratic),
+            "parabola": parab.quadratic.to_dict(),
             "vertex": {"x": rat_to_dict(parab.vertex_x), "y": rat_to_dict(parab.vertex_y)},
             "A_s": rat_to_dict(report.parabola_area),
             "A_r": rat_to_dict(report.rectangle_area),
@@ -525,7 +534,7 @@ def _cmd_pnum(args, cfg: OutputConfig) -> Output:
         plus, minus = pnum.pnum_parabola(pn)
         return Output(
             [f"{plus} = 0", f"mirror: {minus} = 0"],
-            {"pnumber": str(pn), "parabola": _poly_json(plus), "mirror": _poly_json(minus)},
+            {"pnumber": str(pn), "parabola": plus.to_dict(), "mirror": minus.to_dict()},
         )
     raise ValueError(f"unknown action {args.pnum_action}")  # pragma: no cover
 
@@ -554,7 +563,7 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
         ]
 
         def radical_json(r):
-            return {"scale": rat_to_dict(r.scale), "inner": _quad_json(r.inner), "float": float(r)}
+            return {"scale": rat_to_dict(r.scale), "inner": r.inner.to_dict(), "float": float(r)}
 
         data = {
             "solid": solid.value,
@@ -568,8 +577,12 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
     if args.geom_action == "goldencut":
         a, b = geometry.golden_cut(Fraction(args.length))
         lines = [f"a = {a} = {cfg.fnum(float(a))}", f"b = {b} = {cfg.fnum(float(b))}"]
-        return Output(lines, {"a": _quad_json(a), "b": _quad_json(b)})
+        return Output(lines, {"a": a.to_dict(), "b": b.to_dict()})
     if args.geom_action == "trajectory":
+        if args.samples < 1:
+            raise ValueError(f"--samples must be >= 1, got {args.samples}")
+        if args.samples > _MAX_SAMPLE_STEPS:
+            raise InputTooLarge(f"--samples must be <= {_MAX_SAMPLE_STEPS}, got {args.samples}")
         traj = geometry.trajectory(args.v0, args.beta, args.g)
         lines = [
             f"y = {cfg.fnum(traj.a)}x^2 + {cfg.fnum(traj.b)}x",

@@ -12,13 +12,11 @@ proven; in the last a True is a probable prime and a False is proven.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 __all__ = [
     "is_square",
     "squarefree_decompose",
-    "rational_sqrt_decompose",
     "is_prime",
     "sieve_flags",
 ]
@@ -67,14 +65,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         else:
             m *= n
     return s, sign * m
-
-
-def rational_sqrt_decompose(f: Fraction) -> tuple[Fraction, int]:
-    """Write a nonzero rational f as s^2 * m with s a positive rational, m a squarefree integer."""
-    if f == 0:
-        raise ValueError("0 has no squarefree decomposition")
-    s0, m = squarefree_decompose(f.numerator * f.denominator)
-    return Fraction(s0, f.denominator), m
 
 
 # psi_12 = 318665857834031151167461 fools the first 12 bases; no composite

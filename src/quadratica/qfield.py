@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DivisionByZero, MixedRadicands, PerfectSquareRadicand
-from .intmath import squarefree_decompose
+from .intmath import is_square, squarefree_decompose
 
 __all__ = [
     "BigRational",
@@ -348,10 +348,9 @@ def qf_make(a: RatLike, b: RatLike, m: int) -> QuadElem:
     """
     if m == 0 or m == 1:
         raise PerfectSquareRadicand(f"radicand {m} generates no extension")
-    _, m0 = squarefree_decompose(m)
-    if m0 == 1:
+    if is_square(m):
         raise PerfectSquareRadicand(f"{m} is a perfect square; sqrt({m}) is already rational")
-    return QuadElem(rational(a), rational(b), m)
+    return QuadElem(a, b, m)
 
 
 def qf_arith(op: str, z: QuadElem, w: QuadElem) -> QuadElem:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateLeadingCoefficient, NonPositiveParameter
-from .intmath import rational_sqrt_decompose
+from .intmath import squarefree_decompose
 from .qfield import QuadElem, RatLike, _reduced, rat_to_dict, rational
 
 __all__ = [
@@ -130,27 +130,21 @@ def solve(q: Quadratic) -> RootPair:
 
     The roots live in Q(sqrt(m)) where m is the squarefree part of the
     discriminant; a zero discriminant yields RealDouble with r1 == r2 so the
-    Vieta identities stay uniform.
+    Vieta identities stay uniform. The coefficients are cleared to integers
+    A, B, C first, so only the integer B^2 - 4AC is factored.
     """
-    disc = q.discriminant
-    base = -q.b / (2 * q.a)
+    d = math.lcm(q.a.denominator, q.b.denominator, q.c.denominator)
+    A, B, C = (x.numerator * (d // x.denominator) for x in (q.a, q.b, q.c))
+    disc = B * B - 4 * A * C
     if disc == 0:
-        r = QuadElem.from_rational(base)
+        r = _reduced(-B, 0, 2 * A, 0)
         return RootPair(RootKind.REAL_DOUBLE, r, r)
-    s, m = rational_sqrt_decompose(disc)
-    offset = s / (2 * q.a)
+    s, m = squarefree_decompose(disc)
     if m == 1:
-        # rational square: two rational roots
-        return RootPair(
-            RootKind.REAL_DISTINCT,
-            QuadElem.from_rational(base + offset),
-            QuadElem.from_rational(base - offset),
-        )
-    # m is squarefree already, so skip the public constructor's factoring
-    d = math.lcm(base.denominator, offset.denominator)
-    r1 = _reduced(
-        base.numerator * (d // base.denominator), offset.numerator * (d // offset.denominator), d, m
-    )
+        # a rational square: two rational roots
+        r1, r2 = _reduced(-B + s, 0, 2 * A, 0), _reduced(-B - s, 0, 2 * A, 0)
+        return RootPair(RootKind.REAL_DISTINCT, r1, r2)
+    r1 = _reduced(-B, s, 2 * A, m)
     kind = RootKind.REAL_DISTINCT if disc > 0 else RootKind.COMPLEX_PAIR
     return RootPair(kind, r1, r1.conj())
 

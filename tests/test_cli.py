@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import quadratica
+from quadratica import goldbach
 from quadratica.cli import main
 from quadratica.qfield import QuadElem, parse_quad
 
@@ -20,6 +22,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def digit_limit_640():
+    """Lower the interpreter's int-to-str digit limit to its minimum, 640, for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestSolveCommand:
@@ -129,6 +144,25 @@ class TestFibCommands:
         code, out, _ = run(capsys, "fib", "sum", "--case", "IV", "--n", "2")
         assert code == 0 and out.strip().endswith("-1")
 
+    # the largest n whose output has no integer of more than 640 digits
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (["fib", "reduce", "--case", "I", "--n"], 3064),
+            (["fib", "reduce", "--case", "II", "--n"], 3064),
+            (["fib", "sum", "--case", "I", "--n"], 3060),
+            (["fib", "sum", "--case", "II", "--n"], 3063),
+            (["metallic", "ledger", "--n"], 3062),
+        ],
+    )
+    def test_index_bounded_by_the_digit_limit(self, capsys, digit_limit_640, argv, bound):
+        code, out, _ = run(capsys, *argv, str(bound))
+        assert code == 0 and out
+        code, out, err = run(capsys, *argv, str(bound + 1), "--json")
+        envelope = json.loads(err)["error"]
+        assert code == 1 and out == ""
+        assert envelope["type"] == "InputTooLarge" and f"<= {bound}" in envelope["message"]
+
 
 class TestGoldbachCommands:
     def test_witness(self, capsys):
@@ -147,6 +181,13 @@ class TestGoldbachCommands:
         rows = list(csv.reader(report.open()))
         assert rows[0] == ["N", "I_min", "p", "q"]
         assert len(rows) == 1000
+
+    def test_verify_json_histogram(self, capsys):
+        code, out, _ = run(capsys, "goldbach", "verify", "--to", "2000", "--json")
+        payload = json.loads(out)
+        want = Counter(goldbach.find_witness(n).I for n in range(4, 2001, 2))
+        assert code == 0 and {i: count for i, count in payload["histogram"]} == want
+        assert payload["histogram"][-1][0] == payload["max_I"]
 
     def test_areas_json(self, capsys):
         code, out, _ = run(capsys, "goldbach", "areas", "17", "7", "--json")
@@ -187,6 +228,14 @@ class TestPerfectCommands:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0][0] == "p"
         assert ["5", "31", "15", "-33/2", "496", "True"] in rows
+
+    def test_plot_steps_bounded(self, capsys):
+        # 10^5 + 1 steps of 1/100; refused before any row is built
+        argv = ["perfect", "plot", "--from", "0", "--to", "100001/100", "--step", "1/100", "--json"]
+        code, out, err = run(capsys, *argv)
+        envelope = json.loads(err)["error"]
+        assert code == 1 and out == ""
+        assert envelope["type"] == "InputTooLarge" and f"at most {10**5} steps" in envelope["message"]
 
     def test_plot_strictly_increasing(self, capsys):
         code, out, _ = run(
@@ -291,6 +340,17 @@ class TestOtherCommands:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         xs = [float(r[0]) for r in rows]
         assert all(b > a for a, b in zip(xs, xs[1:]))
+
+    def test_geom_trajectory_samples_bounded(self, capsys):
+        code, out, err = run(capsys, "geom", "trajectory", "10", "0.5", "--samples", str(10**5 + 1), "--json")
+        envelope = json.loads(err)["error"]
+        assert code == 1 and out == ""
+        assert envelope["type"] == "InputTooLarge" and f"<= {10**5}" in envelope["message"]
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_geom_trajectory_needs_a_sample(self, capsys, samples):
+        code, out, err = run(capsys, "geom", "trajectory", "10", "0.5", "--samples", samples)
+        assert code == 1 and out == "" and "--samples must be >= 1" in err
 
     def test_geom_platonic_json(self, capsys):
         code, out, _ = run(capsys, "geom", "platonic", "tetra", "--json")

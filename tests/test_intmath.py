@@ -1,7 +1,5 @@
 """Integer helpers: squarefree decomposition and primality."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 from quadratica.intmath import (
     is_prime,
     is_square,
-    rational_sqrt_decompose,
     sieve_flags,
     squarefree_decompose,
 )
@@ -60,11 +57,6 @@ class TestSquarefree:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             squarefree_decompose(0)
-
-    def test_rational(self):
-        s, m = rational_sqrt_decompose(Fraction(12, 49))
-        assert s * s * m == Fraction(12, 49)
-        assert (s, m) == (Fraction(2, 7), 3)
 
 
 class TestPrimality:

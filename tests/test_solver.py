@@ -53,6 +53,29 @@ class TestSolve:
         assert pair.kind is RootKind.REAL_DISTINCT
         assert {pair.r1.as_fraction(), pair.r2.as_fraction()} == {Fraction(-1, 2), Fraction(-1)}
 
+    # r1 = (-b + sqrt(disc))/2a takes the + branch of the radical; for a < 0
+    # that makes it the smaller real root, or the one with -sqrt(m)
+    @pytest.mark.parametrize(
+        "coeffs,kind,r1,r2",
+        [
+            ((1, 2, 1), RootKind.REAL_DOUBLE, ("-1", 0, 0), ("-1", 0, 0)),
+            ((-4, 4, -1), RootKind.REAL_DOUBLE, ("1/2", 0, 0), ("1/2", 0, 0)),
+            ((2, 3, 1), RootKind.REAL_DISTINCT, ("-1/2", 0, 0), ("-1", 0, 0)),
+            ((-2, -3, -1), RootKind.REAL_DISTINCT, ("-1", 0, 0), ("-1/2", 0, 0)),
+            (("1/2", "-5/6", "1/3"), RootKind.REAL_DISTINCT, ("1", 0, 0), ("2/3", 0, 0)),
+            ((1, -1, -1), RootKind.REAL_DISTINCT, ("1/2", "1/2", 5), ("1/2", "-1/2", 5)),
+            ((-1, 1, 1), RootKind.REAL_DISTINCT, ("1/2", "-1/2", 5), ("1/2", "1/2", 5)),
+            (("1/2", "1/3", "-1/4"), RootKind.REAL_DISTINCT, ("-1/3", "1/6", 22), ("-1/3", "-1/6", 22)),
+            ((1, 1, 1), RootKind.COMPLEX_PAIR, ("-1/2", "1/2", -3), ("-1/2", "-1/2", -3)),
+            (("-2/3", "1/2", "-5/4"), RootKind.COMPLEX_PAIR, ("3/8", "-1/8", -111), ("3/8", "1/8", -111)),
+            ((-1, 0, -4), RootKind.COMPLEX_PAIR, (0, -2, -1), (0, 2, -1)),
+        ],
+    )
+    def test_r1_is_the_plus_branch(self, coeffs, kind, r1, r2):
+        pair = solve(Quadratic(*coeffs))
+        assert pair.kind is kind
+        assert (pair.r1, pair.r2) == (QuadElem(*r1), QuadElem(*r2))
+
     def test_degenerate(self):
         with pytest.raises(DegenerateLeadingCoefficient):
             Quadratic(0, 1, 1)
