@@ -1,26 +1,28 @@
 """Command-line entry point: every module as a subcommand.
 
-Exit codes: 0 success, 1 domain error (with a machine-readable envelope on
-stderr under --format json), 2 usage error. Exact values are rendered
-exactly in JSON ({num, den} rationals, {a, b, m} field elements); floats
-appear only in explicitly numeric fields, formatted to --precision
-significant digits. CSV output uses '.' decimals and comma delimiters, and
-samplers emit strictly increasing x columns.
+Exit codes: 0 success, 1 domain error or unwritable file (with a
+machine-readable envelope on stderr under --format json), 2 usage error.
+Exact values are rendered exactly in JSON ({num, den} rationals, {a, b, m}
+field elements); floats appear only in explicitly numeric fields, formatted
+to --precision significant digits. CSV output uses '.' decimals and comma
+delimiters, and samplers emit strictly increasing x columns.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import chain
+from typing import Any, Callable, Optional
 
 from . import congruence, errata, fibgroup, geometry, goldbach, metallic, perfect, pnum, verify
 from .errors import DomainError, InputTooLarge
@@ -57,20 +59,34 @@ class OutputConfig:
 
 @dataclass
 class Output:
-    """What a handler produced: text lines, a JSON payload, optional CSV rows."""
+    """What a handler produced: text lines, a JSON payload, optional CSV rows.
 
-    lines: list[str]
-    data: dict
-    rows: Optional[list[list]] = None
+    lines and rows are iterables read once, and only by the format printed;
+    data may hold library values, which _json encodes.
+    """
+
+    lines: Iterable[str]
+    data: Any
+    rows: Optional[Iterable[list]] = None
     failed: bool = False  # exit 1 even though the command ran
 
 
-def _rootpair_json(pair) -> dict:
-    return {
-        "kind": pair.kind.value,
-        "r1": pair.r1.to_dict(),
-        "r2": pair.r2.to_dict(),
-    }
+def _json(value):
+    """json.dump's default hook: the exact JSON form of a library value.
+
+    Fraction -> {num, den}; anything with to_dict() -> that dict; a dataclass
+    -> its fields in order; an iterator -> a list. json itself writes lists,
+    tuples and the library's str enums (as their value).
+    """
+    if isinstance(value, Fraction):
+        return rat_to_dict(value)
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, Iterator):
+        return list(value)
+    raise TypeError(f"{type(value).__name__} has no JSON form")
 
 
 # ---------------------------------------------------------------- handlers
@@ -88,34 +104,19 @@ def _cmd_solve(args, cfg: OutputConfig) -> Output:
         f"vertex: ({v.h}, {v.k})",
         f"discriminant: {q.discriminant}",
     ]
-    data = {
-        "equation": q.to_dict(),
-        "roots": _rootpair_json(pair),
-        "vertex": {"h": rat_to_dict(v.h), "k": rat_to_dict(v.k)},
-        "discriminant": rat_to_dict(q.discriminant),
-    }
+    data = {"equation": q, "roots": pair, "vertex": {"h": v.h, "k": v.k}, "discriminant": q.discriminant}
     return Output(lines, data)
 
 
 def _cmd_solve_extras(args, cfg: OutputConfig) -> Output:
     if args.action == "family":
         members = four_family(Fraction(args.a), Fraction(args.b))
-        lines = []
-        data = {}
-        for member in members:
-            lines.append(f"({member.label}) {member.quadratic} = 0  ->  {member.roots.r1}, {member.roots.r2}")
-            data[member.label] = {
-                "equation": member.quadratic.to_dict(),
-                "roots": _rootpair_json(member.roots),
-            }
-        return Output(lines, data)
+        lines = [f"({m.label}) {m.quadratic} = 0  ->  {m.roots.r1}, {m.roots.r2}" for m in members]
+        return Output(lines, {m.label: {"equation": m.quadratic, "roots": m.roots} for m in members})
     q = Quadratic(Fraction(args.a), Fraction(args.b), Fraction(args.c))
     if args.action == "shift":
         shifted = shift_roots(q, Fraction(args.k))
-        return Output(
-            [f"shifted by {args.k}: {shifted} = 0"],
-            {"shifted": shifted.to_dict(), "k": rat_to_dict(Fraction(args.k))},
-        )
+        return Output([f"shifted by {args.k}: {shifted} = 0"], {"shifted": shifted, "k": Fraction(args.k)})
     if args.action == "derivative":
         report = disc_derivative_identity(q)
         lines = [
@@ -124,48 +125,30 @@ def _cmd_solve_extras(args, cfg: OutputConfig) -> Output:
             f"sqrt(disc) = f'(x1): {report.sqrt_disc}",
             f"identity holds: {report.check}",
         ]
-        return Output(
-            lines,
-            {
-                "x1": report.x1.to_dict(),
-                "x2": report.x2.to_dict(),
-                "sqrt_disc": report.sqrt_disc.to_dict(),
-                "check": report.check,
-            },
-        )
+        return Output(lines, report)
     if args.action == "ode":
         mode = ode_classify(Fraction(args.a), Fraction(args.b), Fraction(args.c))
-        return Output(
-            [f"kind: {mode.kind.value}", f"r1: {mode.r1}", f"r2: {mode.r2}"],
-            {"kind": mode.kind.value, "r1": mode.r1.to_dict(), "r2": mode.r2.to_dict()},
-        )
+        return Output([f"kind: {mode.kind.value}", f"r1: {mode.r1}", f"r2: {mode.r2}"], mode)
     raise ValueError(f"unknown action {args.action}")  # pragma: no cover
 
 
 def _cmd_qfield(args, cfg: OutputConfig) -> Output:
     if args.qf_action == "make":
         z = qf_make(Fraction(args.a), Fraction(args.b), args.m)
-        return Output([str(z)], {"element": z.to_dict()})
+        return Output([str(z)], {"element": z})
     if args.qf_action == "op":
         z, w = parse_quad(args.z), parse_quad(args.w)
         result = qf_arith(args.operation, z, w)
-        return Output([str(result)], {"result": result.to_dict()})
+        return Output([str(result)], {"result": result})
     if args.qf_action == "conj":
-        z = parse_quad(args.z)
-        zbar, norm = qf_conj_norm(z)
-        return Output(
-            [f"conjugate: {zbar}", f"norm: {norm}"],
-            {"conjugate": zbar.to_dict(), "norm": rat_to_dict(norm)},
-        )
+        zbar, norm = qf_conj_norm(parse_quad(args.z))
+        return Output([f"conjugate: {zbar}", f"norm: {norm}"], {"conjugate": zbar, "norm": norm})
     if args.qf_action == "coords":
         a, b = qf_coords(parse_quad(args.z))
-        return Output([f"({a}, {b})"], {"a": rat_to_dict(a), "b": rat_to_dict(b)})
+        return Output([f"({a}, {b})"], {"a": a, "b": b})
     if args.qf_action == "sqrt":
         plus, minus = qf_sqrt_solution(args.m)
-        return Output(
-            [f"+root: {plus}", f"-root: {minus}"],
-            {"plus": plus.to_dict(), "minus": minus.to_dict()},
-        )
+        return Output([f"+root: {plus}", f"-root: {minus}"], {"plus": plus, "minus": minus})
     raise ValueError(f"unknown action {args.qf_action}")  # pragma: no cover
 
 
@@ -186,6 +169,11 @@ def _check_printable(what: str, n: int, largest: Callable[[int], int]) -> None:
         raise InputTooLarge(f"{what} must be <= {cap}, the last whose integers have <= {digits} digits; got {n}")
 
 
+# partial_power_sum takes one field multiplication and addition per term:
+# 10^6 terms take ~2.5 s in Case III or IV, and the time grows linearly.
+_FIB_SUM_MAX_N = 10**6
+
+
 def _power_sum_largest(case: fibgroup.Case, n: int) -> int:
     a, b = fibgroup.closed_power_sum(case, n).coords()
     return max(abs(a.numerator), a.denominator, abs(b.numerator), b.denominator)
@@ -194,7 +182,8 @@ def _power_sum_largest(case: fibgroup.Case, n: int) -> int:
 def _cmd_fib(args, cfg: OutputConfig) -> Output:
     if args.fib_action == "value":
         _check_printable("fib value index", args.n, fibgroup.fib)
-        return Output([str(fibgroup.fib(args.n))], {"n": args.n, "value": fibgroup.fib(args.n)})
+        value = fibgroup.fib(args.n)
+        return Output([str(value)], {"n": args.n, "value": value})
     if args.fib_action == "reduce":
         # coeff = F(n) = fib(n - 1) is the larger of the pair
         _check_printable("fib reduce --n", args.n, lambda n: fibgroup.fib(n - 1))
@@ -207,13 +196,13 @@ def _cmd_fib(args, cfg: OutputConfig) -> Output:
     if args.fib_action == "sum":
         case = fibgroup.Case(args.case)
         if case in (fibgroup.Case.I, fibgroup.Case.II):
-            # x is a sixth or a cube root of unity in Cases III and IV, so those sums stay small
             _check_printable(f"fib sum --case {args.case} --n", args.n, lambda n: _power_sum_largest(case, n))
+        elif args.n > _FIB_SUM_MAX_N:
+            # x is a sixth or a cube root of unity in Cases III and IV, so those sums stay
+            # small, but partial_power_sum still takes one step per term
+            raise InputTooLarge(f"fib sum --case {args.case} --n must be <= {_FIB_SUM_MAX_N}, got {args.n}")
         total = fibgroup.partial_power_sum(case, args.n)
-        return Output(
-            [f"sum_{{k=1}}^{args.n} x^k = {total}"],
-            {"case": args.case, "n": args.n, "sum": total.to_dict()},
-        )
+        return Output([f"sum_{{k=1}}^{args.n} x^k = {total}"], {"case": args.case, "n": args.n, "sum": total})
     if args.fib_action == "group":
         group = fibgroup.unit_group(fibgroup.Case(args.case))
         table = fibgroup.multiplication_table(group)
@@ -224,12 +213,7 @@ def _cmd_fib(args, cfg: OutputConfig) -> Output:
             lines.append(
                 f"{labels[i]:>{width}} | " + "  ".join(f"{labels[j]:>{width}}" for j in row)
             )
-        data = {
-            "case": args.case,
-            "order": group.order,
-            "elements": [z.to_dict() for z in group.elements],
-            "table": table,
-        }
+        data = {"case": args.case, "order": group.order, "elements": group.elements, "table": table}
         rows = [[""] + labels] + [
             [labels[i]] + [labels[j] for j in row] for i, row in enumerate(table)
         ]
@@ -237,26 +221,23 @@ def _cmd_fib(args, cfg: OutputConfig) -> Output:
     raise ValueError(f"unknown action {args.fib_action}")  # pragma: no cover
 
 
+# Each row factors p^2 + 4 by trial division: 10^4 rows take ~0.5 s as text
+# and ~1.7 s as JSON; 10^5 took ~9 s and ~15 s.
+_METALLIC_TABLE_MAX_P = 10**4
+
+
 def _cmd_metallic(args, cfg: OutputConfig) -> Output:
     if args.metal_action == "table":
+        if args.max_p > _METALLIC_TABLE_MAX_P:
+            raise InputTooLarge(f"--max-p must be <= {_METALLIC_TABLE_MAX_P}, got {args.max_p}")
         entries = [metallic.metallic(p, 1) for p in range(1, args.max_p + 1)]
-        lines = []
-        rows = [["p", "q", "equation", "sigma", "name"]]
-        data = []
-        for entry in entries:
-            name = f" ({entry.name})" if entry.name else ""
-            lines.append(f"sigma_{entry.p},{entry.q} = {entry.sigma}{name}   [{entry.equation} = 0]")
-            rows.append([entry.p, entry.q, str(entry.equation), str(entry.sigma), entry.name or ""])
-            data.append(
-                {
-                    "p": entry.p,
-                    "q": entry.q,
-                    "equation": entry.equation.to_dict(),
-                    "sigma": entry.sigma.to_dict(),
-                    "name": entry.name,
-                }
-            )
-        return Output(lines, {"table": data}, rows)
+        lines = (
+            f"sigma_{e.p},{e.q} = {e.sigma}{f' ({e.name})' if e.name else ''}   [{e.equation} = 0]"
+            for e in entries
+        )
+        header = ["p", "q", "equation", "sigma", "name"]
+        rows = chain([header], ([e.p, e.q, e.equation, e.sigma, e.name] for e in entries))
+        return Output(lines, {"table": entries}, rows)
     if args.metal_action == "classify":
         cls = metallic.radicand_classify(args.m)
         lines = [f"family: {cls.family.value}"]
@@ -264,39 +245,23 @@ def _cmd_metallic(args, cfg: OutputConfig) -> Output:
         if cls.equation is not None:
             lines.append(f"n: {cls.n}")
             lines.append(f"equation: {cls.equation} = 0")
-            data["equation"] = cls.equation.to_dict()
+            data["equation"] = cls.equation
         return Output(lines, data)
     if args.metal_action == "creation":
         value = metallic.creation_equation(args.m)
-        return Output(
-            [f"PHI^2 + conj(PHI)^2 = {value}"],
-            {"m": args.m, "value": rat_to_dict(value)},
-        )
+        return Output([f"PHI^2 + conj(PHI)^2 = {value}"], {"m": args.m, "value": value})
     if args.metal_action == "ledger":
         # row n's largest entry is its power_sum, coeff + 2*const = fib(n) + fib(n - 2)
         _check_printable("metallic ledger --n", args.n, lambda n: fibgroup.fib(n) + fibgroup.fib(n - 2))
-        ledger_rows = metallic.phi_ledger(args.n)
-        lines = []
-        rows = [["n", "coeff", "const", "power_sum", "diff_coeff", "errata"]]
-        data = []
-        for row in ledger_rows:
-            flag = f"   [errata: {row.errata_id}]" if row.errata_id else ""
-            lines.append(
-                f"phi^{row.n} = {row.coeff}*phi + {row.const}; "
-                f"sum = {row.power_sum}, diff = {row.diff_coeff}*sqrt(5){flag}"
-            )
-            rows.append([row.n, row.coeff, row.const, row.power_sum, row.diff_coeff, row.errata_id or ""])
-            data.append(
-                {
-                    "n": row.n,
-                    "coeff": row.coeff,
-                    "const": row.const,
-                    "power_sum": row.power_sum,
-                    "diff_coeff": row.diff_coeff,
-                    "errata_id": row.errata_id,
-                }
-            )
-        return Output(lines, {"ledger": data}, rows)
+        ledger = metallic.phi_ledger(args.n)
+        lines = (
+            f"phi^{r.n} = {r.coeff}*phi + {r.const}; sum = {r.power_sum}, diff = {r.diff_coeff}*sqrt(5)"
+            f"{f'   [errata: {r.errata_id}]' if r.errata_id else ''}"
+            for r in ledger
+        )
+        header = ["n", "coeff", "const", "power_sum", "diff_coeff", "errata"]
+        rows = chain([header], ([r.n, r.coeff, r.const, r.power_sum, r.diff_coeff, r.errata_id] for r in ledger))
+        return Output(lines, {"ledger": ledger}, rows)
     if args.metal_action == "trig":
         report = metallic.golden_trig()
         lines = [
@@ -314,7 +279,7 @@ def _cmd_metallic(args, cfg: OutputConfig) -> Output:
             "quintuple_max_err": report.quintuple_identity_max_err,
             "normalization_exact": report.normalization_exact,
             "generalized_normalization_exact": report.generalized_normalization_exact,
-            "feasible_radicands": list(report.feasible_radicands),
+            "feasible_radicands": report.feasible_radicands,
             "infeasible_example": report.infeasible_example,
             "ok": report.ok,
         }
@@ -326,18 +291,12 @@ def _cmd_cong(args, cfg: OutputConfig) -> Output:
     if args.cong_action == "legendre":
         value = congruence.legendre(args.r, args.p)
         return Output([str(value)], {"r": args.r, "p": args.p, "legendre": value})
-    if args.cong_action == "sqrt":
-        sol = congruence.sqrt_mod(args.r, args.p)
-        return Output(
-            [f"kind: {sol.kind.value}", f"roots: {list(sol.roots)}"],
-            {"kind": sol.kind.value, "roots": list(sol.roots)},
-        )
-    if args.cong_action == "solve":
-        sol = congruence.solve_quad_mod(args.a, args.b, args.c, args.p)
-        return Output(
-            [f"kind: {sol.kind.value}", f"roots: {list(sol.roots)}"],
-            {"kind": sol.kind.value, "roots": list(sol.roots)},
-        )
+    if args.cong_action in ("sqrt", "solve"):
+        if args.cong_action == "sqrt":
+            sol = congruence.sqrt_mod(args.r, args.p)
+        else:
+            sol = congruence.solve_quad_mod(args.a, args.b, args.c, args.p)
+        return Output([f"kind: {sol.kind.value}", f"roots: {list(sol.roots)}"], sol)
     if args.cong_action == "twosquares":
         a, b = congruence.two_squares(args.p)
         return Output(
@@ -347,9 +306,9 @@ def _cmd_cong(args, cfg: OutputConfig) -> Output:
     raise ValueError(f"unknown action {args.cong_action}")  # pragma: no cover
 
 
-# The samplers build every row before printing: 10^5 steps take ~1.7 s and ~60 MB
-# in perfect plot (exact x values) and ~0.5 s and ~50 MB in geom trajectory;
-# 10^6 steps took ~20 s and ~380 MB in perfect plot.
+# The samplers stream their rows, so the cap bounds time: 10^5 steps take ~2.5 s
+# in perfect plot (exact x values) and ~0.4 s in geom trajectory --csv, at ~19 MB
+# peak RSS (~39 MB for perfect plot --json, whose row list is built whole).
 _MAX_SAMPLE_STEPS = 10**5
 
 # Each row runs a Lucas-Lehmer test of 2^p - 1, so the table costs about
@@ -362,25 +321,23 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
         if args.max_exp > _PERFECT_TABLE_MAX_EXP:
             raise InputTooLarge(f"--max-exp must be <= {_PERFECT_TABLE_MAX_EXP}, got {args.max_exp}")
         records = [perfect.perfect_from_exponent(p) for p in range(2, args.max_exp + 1)]
-        lines = []
-        rows = [["p", "mersenne", "x1", "x2", "P", "perfect"]]
-        data = []
-        for rec in records:
-            lines.append(
-                f"p={rec.exponent}: x1={rec.x1}, x2={rec.x2}, P={rec.value}"
-                f"{' (perfect)' if rec.is_perfect else ''}"
-            )
-            rows.append([rec.exponent, rec.mersenne, rec.x1, str(rec.x2), rec.value, rec.is_perfect])
-            data.append(
-                {
-                    "exponent": rec.exponent,
-                    "mersenne": rec.mersenne,
-                    "x1": rec.x1,
-                    "x2": rat_to_dict(rec.x2),
-                    "value": rec.value,
-                    "perfect": rec.is_perfect,
-                }
-            )
+        lines = (
+            f"p={r.exponent}: x1={r.x1}, x2={r.x2}, P={r.value}{' (perfect)' if r.is_perfect else ''}"
+            for r in records
+        )
+        header = ["p", "mersenne", "x1", "x2", "P", "perfect"]
+        rows = chain([header], ([r.exponent, r.mersenne, r.x1, r.x2, r.value, r.is_perfect] for r in records))
+        data = (
+            {
+                "exponent": r.exponent,
+                "mersenne": r.mersenne,
+                "x1": r.x1,
+                "x2": r.x2,
+                "value": r.value,
+                "perfect": r.is_perfect,
+            }
+            for r in records
+        )
         return Output(lines, {"table": data}, rows)
     if args.perfect_action == "preimage":
         result = perfect.preimage(args.value)
@@ -390,10 +347,7 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
                 {"value": args.value, "x1": None, "x2": None},
             )
         x1, x2 = result
-        return Output(
-            [f"x1 = {x1}", f"x2 = {x2}"],
-            {"value": args.value, "x1": x1, "x2": rat_to_dict(x2)},
-        )
+        return Output([f"x1 = {x1}", f"x2 = {x2}"], {"value": args.value, "x1": x1, "x2": x2})
     if args.perfect_action == "areas":
         report = perfect.chord_geometry(Fraction(args.a), Fraction(args.b))
         lines = [
@@ -404,12 +358,12 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
             f"axis area: {report.axis_area}",
         ]
         data = {
-            "slope": rat_to_dict(report.slope),
-            "intercept": rat_to_dict(report.intercept),
-            "trapezoid_area": rat_to_dict(report.trapezoid_area),
-            "parabola_integral": rat_to_dict(report.parabola_integral),
-            "chord_area": rat_to_dict(report.chord_area),
-            "axis_area": rat_to_dict(report.axis_area),
+            "slope": report.slope,
+            "intercept": report.intercept,
+            "trapezoid_area": report.trapezoid_area,
+            "parabola_integral": report.parabola_integral,
+            "chord_area": report.chord_area,
+            "axis_area": report.axis_area,
         }
         return Output(lines, data)
     if args.perfect_action == "plot":
@@ -421,18 +375,28 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
         steps = (stop - start) // step
         if steps > _MAX_SAMPLE_STEPS:
             raise InputTooLarge(f"perfect plot takes at most {_MAX_SAMPLE_STEPS} steps, got {steps}")
-        rows = [["x", "fx"]]
-        for k in range(steps + 1):
-            x = start + k * step
-            rows.append([cfg.fnum(float(x)), cfg.fnum(float(perfect.parabola(x)))])
-        lines = [f"{r[0]},{r[1]}" for r in rows]
-        return Output(lines, {"rows": rows[1:]}, rows)
+        # the parabola is convex, so its largest value on the plot is at an end
+        if max(abs(perfect.parabola(start)), abs(perfect.parabola(start + steps * step))) > sys.float_info.max:
+            raise ValueError("perfect plot values would pass the float range")
+
+        def samples():
+            for k in range(steps + 1):
+                x = start + k * step
+                yield [cfg.fnum(float(x)), cfg.fnum(float(perfect.parabola(x)))]
+
+        header = ["x", "fx"]
+        lines = (f"{x},{fx}" for x, fx in chain([header], samples()))
+        return Output(lines, {"rows": samples()}, chain([header], samples()))
     raise ValueError(f"unknown action {args.perfect_action}")  # pragma: no cover
 
 
 # verify_range holds a sieve and three integers of --to bits: 10^7 takes
 # ~2.5 s and ~47 MB, 10^8 ~53 s and ~320 MB, growing linearly from there.
 _GOLDBACH_VERIFY_MAX = 10**8
+
+# hypotenuse runs is_prime on H. A prime H costs a base-2 Miller-Rabin and a
+# strong Lucas test: ~0.2 s + ~0.6 s at 4096 bits, ~0.7 s + ~2.2 s at 6144.
+_HYPOTENUSE_MAX_BITS = 4096
 
 
 def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
@@ -442,15 +406,14 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
             if args.n > goldbach._SIEVE_CAP:
                 raise InputTooLarge(f"witness --all needs N <= {goldbach._SIEVE_CAP}, got {args.n}")
             found = goldbach.witnesses(args.n)
-            lines = [f"{w.N} = {w.p} + {w.q}  (I = {w.I})" for w in found]
+            lines = (f"{w.N} = {w.p} + {w.q}  (I = {w.I})" for w in found)
             data = {
                 "N": args.n,
-                "witnesses": [
-                    {"I": w.I, "p": w.p, "q": w.q, "uses_even_prime": w.uses_even_prime}
-                    for w in found
-                ],
+                "witnesses": (
+                    {"I": w.I, "p": w.p, "q": w.q, "uses_even_prime": w.uses_even_prime} for w in found
+                ),
             }
-            rows = [["N", "I", "p", "q"]] + [[w.N, w.I, w.p, w.q] for w in found]
+            rows = chain([["N", "I", "p", "q"]], ([w.N, w.I, w.p, w.q] for w in found))
             return Output(lines, data, rows)
         w = goldbach.find_witness(args.n)
         note = "  [even prime pair]" if w.uses_even_prime else ""
@@ -468,6 +431,8 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
     if args.gb_action == "verify":
         if args.to > _GOLDBACH_VERIFY_MAX:
             raise InputTooLarge(f"--to must be <= {_GOLDBACH_VERIFY_MAX}, got {args.to}")
+        if args.report:
+            open(args.report, "w").close()  # an unwritable path fails now, not after the scan
         summary = goldbach.verify_range(args.to, csv_path=args.report)
         lines = [
             f"verified {summary.count} even numbers in [{summary.start}, {summary.stop}]",
@@ -502,15 +467,19 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
             "p": report.p,
             "q": report.q,
             "I": report.I,
-            "parabola": parab.quadratic.to_dict(),
-            "vertex": {"x": rat_to_dict(parab.vertex_x), "y": rat_to_dict(parab.vertex_y)},
-            "A_s": rat_to_dict(report.parabola_area),
-            "A_r": rat_to_dict(report.rectangle_area),
-            "A_t": rat_to_dict(report.triangle_area),
-            "leading_segment": rat_to_dict(report.leading_segment),
+            "parabola": parab.quadratic,
+            "vertex": {"x": parab.vertex_x, "y": parab.vertex_y},
+            "A_s": report.parabola_area,
+            "A_r": report.rectangle_area,
+            "A_t": report.triangle_area,
+            "leading_segment": report.leading_segment,
         }
         return Output(lines, data)
     if args.gb_action == "hypotenuse":
+        # H = (2n)^(2l) + I^(2l) has at most this many bits, plus one
+        bits = 2 * args.l * max(abs(2 * args.n), abs(args.i)).bit_length()
+        if bits > _HYPOTENUSE_MAX_BITS:
+            raise InputTooLarge(f"H would have about {bits} bits; at most {_HYPOTENUSE_MAX_BITS} are allowed")
         h, kind = goldbach.hypotenuse_number(args.n, args.i, args.l)
         return Output(
             [f"H = {h} ({kind.value})"],
@@ -534,7 +503,7 @@ def _cmd_pnum(args, cfg: OutputConfig) -> Output:
         plus, minus = pnum.pnum_parabola(pn)
         return Output(
             [f"{plus} = 0", f"mirror: {minus} = 0"],
-            {"pnumber": str(pn), "parabola": plus.to_dict(), "mirror": minus.to_dict()},
+            {"pnumber": str(pn), "parabola": plus, "mirror": minus},
         )
     raise ValueError(f"unknown action {args.pnum_action}")  # pragma: no cover
 
@@ -563,11 +532,11 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
         ]
 
         def radical_json(r):
-            return {"scale": rat_to_dict(r.scale), "inner": r.inner.to_dict(), "float": float(r)}
+            return {"scale": r.scale, "inner": r.inner, "float": float(r)}
 
         data = {
             "solid": solid.value,
-            "edge": rat_to_dict(row.edge),
+            "edge": row.edge,
             "face_area": radical_json(row.face_area),
             "total_area": radical_json(row.total_area),
             "apothem": radical_json(row.apothem),
@@ -577,7 +546,7 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
     if args.geom_action == "goldencut":
         a, b = geometry.golden_cut(Fraction(args.length))
         lines = [f"a = {a} = {cfg.fnum(float(a))}", f"b = {b} = {cfg.fnum(float(b))}"]
-        return Output(lines, {"a": a.to_dict(), "b": b.to_dict()})
+        return Output(lines, {"a": a, "b": b})
     if args.geom_action == "trajectory":
         if args.samples < 1:
             raise ValueError(f"--samples must be >= 1, got {args.samples}")
@@ -589,11 +558,8 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
             f"apex: ({cfg.fnum(traj.apex_x)}, {cfg.fnum(traj.apex_y)})",
             f"range: {cfg.fnum(traj.range_x)}",
         ]
-        rows = [["x", "y"]]
-        for k in range(args.samples + 1):
-            x = traj.range_x * k / args.samples
-            y = traj.a * x * x + traj.b * x
-            rows.append([cfg.fnum(x), cfg.fnum(y)])
+        xs = (traj.range_x * k / args.samples for k in range(args.samples + 1))
+        rows = chain([["x", "y"]], ([cfg.fnum(x), cfg.fnum(traj.a * x * x + traj.b * x)] for x in xs))
         data = {
             "a": traj.a,
             "b": traj.b,
@@ -615,11 +581,7 @@ def _cmd_errata(args, cfg: OutputConfig) -> Output:
         lines.append(f"  oracle:    {entry.oracle}")
         lines.append("")
         rows.append([entry.id, entry.kind, entry.section, entry.displayed, entry.derived, entry.oracle])
-    data = {
-        "version": errata.ERRATA_VERSION,
-        "entries": [entry.to_dict() for entry in errata.ERRATA],
-    }
-    return Output(lines, data, rows)
+    return Output(lines, {"version": errata.ERRATA_VERSION, "entries": errata.ERRATA}, rows)
 
 
 def _cmd_verify(args, cfg: OutputConfig) -> Output:
@@ -635,15 +597,7 @@ def _cmd_verify(args, cfg: OutputConfig) -> Output:
         lines.append(f"{module}: {sum(oks)}/{len(oks)} ok")
     failed = [r for r in results if not r.ok]
     lines.append(f"total: {len(results) - len(failed)}/{len(results)} checks passed")
-    data = {
-        "scale": args.scale,
-        "results": [
-            {"module": r.module, "name": r.name, "ok": r.ok, "detail": r.detail, "elapsed": r.elapsed}
-            for r in results
-        ],
-        "ok": not failed,
-    }
-    return Output(lines, data, failed=bool(failed))
+    return Output(lines, {"scale": args.scale, "results": results, "ok": not failed}, failed=bool(failed))
 
 
 # ---------------------------------------------------------------- wiring
@@ -838,22 +792,20 @@ def _resolve_config(args) -> OutputConfig:
 
 
 def _render(output: Output, cfg: OutputConfig, out_path: Optional[str]) -> None:
-    if cfg.format == "json":
-        text = json.dumps(output.data, indent=2)
-    elif cfg.format == "csv":
-        if output.rows is None:
-            raise ValueError("this command has no CSV form")
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerows(output.rows)
-        text = buffer.getvalue().rstrip("\n")
-    else:
-        text = "\n".join(output.lines)
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    """Write the one format asked for, as it is produced, to --out or stdout."""
+    if cfg.format == "csv" and output.rows is None:
+        raise ValueError("this command has no CSV form")
+    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as handle:
+        if cfg.format == "json":
+            json.dump(output.data, handle, indent=2, default=_json)
+            handle.write("\n")
+        elif cfg.format == "csv":
+            csv.writer(handle).writerows(output.rows)
+        else:
+            lines = iter(output.lines)
+            print(next(lines, ""), file=handle)  # an empty listing still prints one blank line
+            for line in lines:
+                print(line, file=handle)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -874,7 +826,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (DomainError, ValueError, ZeroDivisionError) as exc:
+    except (DomainError, ValueError, ZeroDivisionError, OSError) as exc:
         if cfg.format == "json":
             envelope = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             print(json.dumps(envelope), file=sys.stderr)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import quadratica
-from quadratica import goldbach
+from quadratica import cli, goldbach
 from quadratica.cli import main
 from quadratica.qfield import QuadElem, parse_quad
 
@@ -22,6 +23,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment for a child interpreter that imports this checkout's quadratica."""
+    env = dict(os.environ)
+    src = str(Path(quadratica.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def refused_at_once(capsys, *argv):
+    """Run argv under --json; return the InputTooLarge message after checking it came at once."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--json")
+    assert time.perf_counter() - start < 1
+    envelope = json.loads(err)["error"]
+    assert code == 1 and out == "" and envelope["type"] == "InputTooLarge"
+    return envelope["message"]
 
 
 @pytest.fixture
@@ -144,6 +164,11 @@ class TestFibCommands:
         code, out, _ = run(capsys, "fib", "sum", "--case", "IV", "--n", "2")
         assert code == 0 and out.strip().endswith("-1")
 
+    @pytest.mark.parametrize("case", ["III", "IV"])
+    def test_root_of_unity_sum_bounded(self, capsys, case):
+        message = refused_at_once(capsys, "fib", "sum", "--case", case, "--n", str(10**6 + 1))
+        assert f"<= {10**6}" in message
+
     # the largest n whose output has no integer of more than 640 digits
     @pytest.mark.parametrize(
         "argv,bound",
@@ -237,6 +262,12 @@ class TestPerfectCommands:
         assert code == 1 and out == ""
         assert envelope["type"] == "InputTooLarge" and f"at most {10**5} steps" in envelope["message"]
 
+    def test_plot_past_the_float_range_refused_before_output(self, capsys):
+        # f(9e153) fits a float, f(1e154) = 2e308 does not
+        argv = ["perfect", "plot", "--from", "9e153", "--to", "1e154", "--step", "1e151"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err == "error: perfect plot values would pass the float range\n"
+
     def test_plot_strictly_increasing(self, capsys):
         code, out, _ = run(
             capsys, "perfect", "plot", "--from", "-2", "--to", "1", "--step", "1/100", "--csv"
@@ -299,6 +330,17 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "goldbach", "hypotenuse", "6", "5", "--json")
         payload = json.loads(out)
         assert (payload["H"], payload["class"]) == (169, "PrimeSquare")
+
+    def test_goldbach_hypotenuse_bounded_by_bit_length(self, capsys):
+        # H = 2^(2l) + 1 is estimated at 2l * 2 bits: 4096 at l = 1024, 4100 at l = 1025
+        code, out, _ = run(capsys, "goldbach", "hypotenuse", "1", "1", "1024", "--json")
+        assert code == 0 and json.loads(out)["H"] == 2**2048 + 1
+        assert "at most 4096" in refused_at_once(capsys, "goldbach", "hypotenuse", "1", "1", "1025")
+        # without the bound this would build a billion-bit power before testing it
+        assert "at most 4096" in refused_at_once(capsys, "goldbach", "hypotenuse", "1", "1", str(10**9))
+
+    def test_metallic_table_bounded(self, capsys):
+        assert f"<= {10**4}" in refused_at_once(capsys, "metallic", "table", "--max-p", str(10**4 + 1))
 
     def test_geom_goldencut(self, capsys):
         code, out, _ = run(capsys, "geom", "goldencut", "1", "--json")
@@ -459,10 +501,7 @@ class TestBrokenPipe:
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_no_traceback(self, unbuffered):
-        env = dict(os.environ)
-        src = str(Path(quadratica.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop("PYTHONUNBUFFERED", None)
+        env = child_env()
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
@@ -482,3 +521,75 @@ class TestBrokenPipe:
         assert first.rstrip() == b"x,fx"
         assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
         assert code == 1
+
+
+class TestOSErrors:
+    """A file that cannot be written is an error line and exit 1, not a traceback."""
+
+    def test_out_in_a_missing_directory(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "x")
+        code, out, err = run(capsys, "solve", "1", "-1", "-1", "--out", target)
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: {target!r}\n"
+        code, out, err = run(capsys, "--json", "solve", "1", "-1", "-1", "--out", target)
+        assert code == 1 and out == "" and json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+    def test_report_in_a_missing_directory_fails_before_the_scan(self, capsys, tmp_path, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(cli.goldbach, "verify_range", scan)
+        report = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run(capsys, "goldbach", "verify", "--report", report, "--json")
+        assert code == 1 and out == "" and json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+
+class TestSingleFormatRendering:
+    """A run builds and writes only the format it prints."""
+
+    # The child reads its own peak RSS once main() has returned. It reads VmHWM,
+    # not ru_maxrss: Linux carries the spawning process's peak into the child's
+    # ru_maxrss at exec, so under pytest that reads ~47 MB before any work.
+    CHILD = (
+        "import re, sys\n"
+        "from quadratica.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "peak = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1)\n"
+        "print(code, peak, file=sys.stderr)\n"
+    )
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_ledger_peak_memory(self, fmt):
+        # the 5999 rows hold ~4 MB of integers; building every format in full took 68-91 MB
+        argv = ["metallic", "ledger", "--n", "6000", "--format", fmt]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+            timeout=60,
+        )
+        code, max_rss_kb = proc.stderr.decode().split()[-2:]
+        assert code == "0"
+        assert int(max_rss_kb) < 45 * 1024
+
+    @pytest.mark.parametrize("fmt,calls", [([], 5), (["--json"], 5), (["--csv"], 5 + 2 * 11)])
+    def test_trajectory_formats_rows_only_for_csv(self, capsys, monkeypatch, fmt, calls):
+        seen = []
+        fnum = cli.OutputConfig.fnum
+        monkeypatch.setattr(cli.OutputConfig, "fnum", lambda self, x: seen.append(x) or fnum(self, x))
+        samples = "100000" if fmt != ["--csv"] else "10"
+        code, _, _ = run(capsys, "geom", "trajectory", "10", "0.785398", "--samples", samples, *fmt)
+        # five numbers in the three text lines, two per CSV row
+        assert code == 0 and len(seen) == calls
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, fmt):
+        argv = ["metallic", "ledger", "--n", "12", *fmt]
+        code, out, _ = run(capsys, *argv)
+        target = tmp_path / "ledger"
+        code_to_file, out_to_file, _ = run(capsys, *argv, "--out", str(target))
+        assert code == code_to_file == 0 and out and out_to_file == ""
+        assert target.read_bytes() == out.encode()
