@@ -38,6 +38,7 @@ from .solver import (
 )
 
 __all__ = ["main", "OutputConfig"]
+_FORMATS = ("text", "json", "csv")
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class OutputConfig:
     precision: int = 12
 
     def __post_init__(self):
-        if self.format not in ("text", "json", "csv"):
+        if self.format not in _FORMATS:
             raise ValueError("format must be text, json, or csv")
         if not 1 <= self.precision <= 30:
             raise ValueError("precision must be in [1, 30]")
@@ -129,27 +130,25 @@ def _cmd_solve_extras(args, cfg: OutputConfig) -> Output:
     if args.action == "ode":
         mode = ode_classify(Fraction(args.a), Fraction(args.b), Fraction(args.c))
         return Output([f"kind: {mode.kind.value}", f"r1: {mode.r1}", f"r2: {mode.r2}"], mode)
-    raise ValueError(f"unknown action {args.action}")  # pragma: no cover
 
 
 def _cmd_qfield(args, cfg: OutputConfig) -> Output:
-    if args.qf_action == "make":
+    if args.action == "make":
         z = qf_make(Fraction(args.a), Fraction(args.b), args.m)
         return Output([str(z)], {"element": z})
-    if args.qf_action == "op":
+    if args.action == "op":
         z, w = parse_quad(args.z), parse_quad(args.w)
         result = qf_arith(args.operation, z, w)
         return Output([str(result)], {"result": result})
-    if args.qf_action == "conj":
+    if args.action == "conj":
         zbar, norm = qf_conj_norm(parse_quad(args.z))
         return Output([f"conjugate: {zbar}", f"norm: {norm}"], {"conjugate": zbar, "norm": norm})
-    if args.qf_action == "coords":
+    if args.action == "coords":
         a, b = qf_coords(parse_quad(args.z))
         return Output([f"({a}, {b})"], {"a": a, "b": b})
-    if args.qf_action == "sqrt":
+    if args.action == "sqrt":
         plus, minus = qf_sqrt_solution(args.m)
         return Output([f"+root: {plus}", f"-root: {minus}"], {"plus": plus, "minus": minus})
-    raise ValueError(f"unknown action {args.qf_action}")  # pragma: no cover
 
 
 def _check_printable(what: str, n: int, largest: Callable[[int], int]) -> None:
@@ -180,11 +179,11 @@ def _power_sum_largest(case: fibgroup.Case, n: int) -> int:
 
 
 def _cmd_fib(args, cfg: OutputConfig) -> Output:
-    if args.fib_action == "value":
+    if args.action == "value":
         _check_printable("fib value index", args.n, fibgroup.fib)
         value = fibgroup.fib(args.n)
         return Output([str(value)], {"n": args.n, "value": value})
-    if args.fib_action == "reduce":
+    if args.action == "reduce":
         # coeff = F(n) = fib(n - 1) is the larger of the pair
         _check_printable("fib reduce --n", args.n, lambda n: fibgroup.fib(n - 1))
         pair = fibgroup.power_reduce(fibgroup.Case(args.case), args.n)
@@ -193,7 +192,7 @@ def _cmd_fib(args, cfg: OutputConfig) -> Output:
             [f"{root}^{args.n} = {pair.coeff}*{root} + {pair.const}"],
             {"case": args.case, "n": args.n, "coeff": pair.coeff, "const": pair.const},
         )
-    if args.fib_action == "sum":
+    if args.action == "sum":
         case = fibgroup.Case(args.case)
         if case in (fibgroup.Case.I, fibgroup.Case.II):
             _check_printable(f"fib sum --case {args.case} --n", args.n, lambda n: _power_sum_largest(case, n))
@@ -203,7 +202,7 @@ def _cmd_fib(args, cfg: OutputConfig) -> Output:
             raise InputTooLarge(f"fib sum --case {args.case} --n must be <= {_FIB_SUM_MAX_N}, got {args.n}")
         total = fibgroup.partial_power_sum(case, args.n)
         return Output([f"sum_{{k=1}}^{args.n} x^k = {total}"], {"case": args.case, "n": args.n, "sum": total})
-    if args.fib_action == "group":
+    if args.action == "group":
         group = fibgroup.unit_group(fibgroup.Case(args.case))
         table = fibgroup.multiplication_table(group)
         labels = [str(z) for z in group.elements]
@@ -218,7 +217,6 @@ def _cmd_fib(args, cfg: OutputConfig) -> Output:
             [labels[i]] + [labels[j] for j in row] for i, row in enumerate(table)
         ]
         return Output(lines, data, rows)
-    raise ValueError(f"unknown action {args.fib_action}")  # pragma: no cover
 
 
 # Each row factors p^2 + 4 by trial division: 10^4 rows take ~0.5 s as text
@@ -227,7 +225,7 @@ _METALLIC_TABLE_MAX_P = 10**4
 
 
 def _cmd_metallic(args, cfg: OutputConfig) -> Output:
-    if args.metal_action == "table":
+    if args.action == "table":
         if args.max_p > _METALLIC_TABLE_MAX_P:
             raise InputTooLarge(f"--max-p must be <= {_METALLIC_TABLE_MAX_P}, got {args.max_p}")
         entries = [metallic.metallic(p, 1) for p in range(1, args.max_p + 1)]
@@ -238,7 +236,7 @@ def _cmd_metallic(args, cfg: OutputConfig) -> Output:
         header = ["p", "q", "equation", "sigma", "name"]
         rows = chain([header], ([e.p, e.q, e.equation, e.sigma, e.name] for e in entries))
         return Output(lines, {"table": entries}, rows)
-    if args.metal_action == "classify":
+    if args.action == "classify":
         cls = metallic.radicand_classify(args.m)
         lines = [f"family: {cls.family.value}"]
         data = {"family": cls.family.value, "n": cls.n}
@@ -247,10 +245,10 @@ def _cmd_metallic(args, cfg: OutputConfig) -> Output:
             lines.append(f"equation: {cls.equation} = 0")
             data["equation"] = cls.equation
         return Output(lines, data)
-    if args.metal_action == "creation":
+    if args.action == "creation":
         value = metallic.creation_equation(args.m)
         return Output([f"PHI^2 + conj(PHI)^2 = {value}"], {"m": args.m, "value": value})
-    if args.metal_action == "ledger":
+    if args.action == "ledger":
         # row n's largest entry is its power_sum, coeff + 2*const = fib(n) + fib(n - 2)
         _check_printable("metallic ledger --n", args.n, lambda n: fibgroup.fib(n) + fibgroup.fib(n - 2))
         ledger = metallic.phi_ledger(args.n)
@@ -262,7 +260,7 @@ def _cmd_metallic(args, cfg: OutputConfig) -> Output:
         header = ["n", "coeff", "const", "power_sum", "diff_coeff", "errata"]
         rows = chain([header], ([r.n, r.coeff, r.const, r.power_sum, r.diff_coeff, r.errata_id] for r in ledger))
         return Output(lines, {"ledger": ledger}, rows)
-    if args.metal_action == "trig":
+    if args.action == "trig":
         report = metallic.golden_trig()
         lines = [
             f"cos(pi/5) = phi/2: {report.cos_pi_5_matches_half_phi}",
@@ -284,26 +282,24 @@ def _cmd_metallic(args, cfg: OutputConfig) -> Output:
             "ok": report.ok,
         }
         return Output(lines, data)
-    raise ValueError(f"unknown action {args.metal_action}")  # pragma: no cover
 
 
 def _cmd_cong(args, cfg: OutputConfig) -> Output:
-    if args.cong_action == "legendre":
+    if args.action == "legendre":
         value = congruence.legendre(args.r, args.p)
         return Output([str(value)], {"r": args.r, "p": args.p, "legendre": value})
-    if args.cong_action in ("sqrt", "solve"):
-        if args.cong_action == "sqrt":
+    if args.action in ("sqrt", "solve"):
+        if args.action == "sqrt":
             sol = congruence.sqrt_mod(args.r, args.p)
         else:
             sol = congruence.solve_quad_mod(args.a, args.b, args.c, args.p)
         return Output([f"kind: {sol.kind.value}", f"roots: {list(sol.roots)}"], sol)
-    if args.cong_action == "twosquares":
+    if args.action == "twosquares":
         a, b = congruence.two_squares(args.p)
         return Output(
             [f"{args.p} = {a}^2 + {b}^2"],
             {"p": args.p, "a": a, "b": b},
         )
-    raise ValueError(f"unknown action {args.cong_action}")  # pragma: no cover
 
 
 # The samplers stream their rows, so the cap bounds time: 10^5 steps take ~2.5 s
@@ -317,7 +313,7 @@ _PERFECT_TABLE_MAX_EXP = 2000
 
 
 def _cmd_perfect(args, cfg: OutputConfig) -> Output:
-    if args.perfect_action == "table":
+    if args.action == "table":
         if args.max_exp > _PERFECT_TABLE_MAX_EXP:
             raise InputTooLarge(f"--max-exp must be <= {_PERFECT_TABLE_MAX_EXP}, got {args.max_exp}")
         records = [perfect.perfect_from_exponent(p) for p in range(2, args.max_exp + 1)]
@@ -339,7 +335,7 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
             for r in records
         )
         return Output(lines, {"table": data}, rows)
-    if args.perfect_action == "preimage":
+    if args.action == "preimage":
         result = perfect.preimage(args.value)
         if result is None:
             return Output(
@@ -348,7 +344,7 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
             )
         x1, x2 = result
         return Output([f"x1 = {x1}", f"x2 = {x2}"], {"value": args.value, "x1": x1, "x2": x2})
-    if args.perfect_action == "areas":
+    if args.action == "areas":
         report = perfect.chord_geometry(Fraction(args.a), Fraction(args.b))
         lines = [
             f"secant: y = {report.slope}x + {report.intercept}",
@@ -366,7 +362,7 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
             "axis_area": report.axis_area,
         }
         return Output(lines, data)
-    if args.perfect_action == "plot":
+    if args.action == "plot":
         start = Fraction(args.start)
         stop = Fraction(args.stop)
         step = Fraction(args.step)
@@ -387,7 +383,6 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
         header = ["x", "fx"]
         lines = (f"{x},{fx}" for x, fx in chain([header], samples()))
         return Output(lines, {"rows": samples()}, chain([header], samples()))
-    raise ValueError(f"unknown action {args.perfect_action}")  # pragma: no cover
 
 
 # verify_range holds a sieve and three integers of --to bits: 10^7 takes
@@ -400,7 +395,7 @@ _HYPOTENUSE_MAX_BITS = 4096
 
 
 def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
-    if args.gb_action == "witness":
+    if args.action == "witness":
         if args.all:
             # above the sieve cap every one of ~N/4 candidates gets a primality test
             if args.n > goldbach._SIEVE_CAP:
@@ -428,7 +423,7 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
                 "uses_even_prime": w.uses_even_prime,
             },
         )
-    if args.gb_action == "verify":
+    if args.action == "verify":
         if args.to > _GOLDBACH_VERIFY_MAX:
             raise InputTooLarge(f"--to must be <= {_GOLDBACH_VERIFY_MAX}, got {args.to}")
         if args.report:
@@ -452,7 +447,7 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
             "histogram": summary.histogram,
         }
         return Output(lines, data)
-    if args.gb_action == "areas":
+    if args.action == "areas":
         report = goldbach.witness_areas(args.p, args.q)
         parab = goldbach.witness_parabola(args.p, args.q)
         lines = [
@@ -475,7 +470,7 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
             "leading_segment": report.leading_segment,
         }
         return Output(lines, data)
-    if args.gb_action == "hypotenuse":
+    if args.action == "hypotenuse":
         # H = (2n)^(2l) + I^(2l) has at most this many bits, plus one
         bits = 2 * args.l * max(abs(2 * args.n), abs(args.i)).bit_length()
         if bits > _HYPOTENUSE_MAX_BITS:
@@ -485,27 +480,25 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
             [f"H = {h} ({kind.value})"],
             {"n": args.n, "I": args.i, "l": args.l, "H": h, "class": kind.value},
         )
-    raise ValueError(f"unknown action {args.gb_action}")  # pragma: no cover
 
 
 def _cmd_pnum(args, cfg: OutputConfig) -> Output:
-    if args.pnum_action == "associate":
+    if args.action == "associate":
         pn = pnum.associate(args.n)
         return Output(
             [f"{args.n} -> {pn} (value {pnum.pnum_value(pn)})"],
             {"n": args.n, "digit": pn.digit, "reps": pn.reps, "value": pnum.pnum_value(pn)},
         )
-    if args.pnum_action == "root":
+    if args.action == "root":
         value = pnum.digital_root(args.n)
         return Output([str(value)], {"n": args.n, "digital_root": value})
-    if args.pnum_action == "parabola":
+    if args.action == "parabola":
         pn = pnum.PNumber(args.p, args.t)
         plus, minus = pnum.pnum_parabola(pn)
         return Output(
             [f"{plus} = 0", f"mirror: {minus} = 0"],
             {"pnumber": str(pn), "parabola": plus, "mirror": minus},
         )
-    raise ValueError(f"unknown action {args.pnum_action}")  # pragma: no cover
 
 
 _SOLID_ALIASES = {
@@ -519,7 +512,7 @@ _SOLID_ALIASES = {
 
 
 def _cmd_geom(args, cfg: OutputConfig) -> Output:
-    if args.geom_action == "platonic":
+    if args.action == "platonic":
         solid = _SOLID_ALIASES[args.solid]
         row = geometry.platonic(solid, Fraction(args.edge))
         lines = [
@@ -543,11 +536,11 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
             "volume": radical_json(row.volume),
         }
         return Output(lines, data)
-    if args.geom_action == "goldencut":
+    if args.action == "goldencut":
         a, b = geometry.golden_cut(Fraction(args.length))
         lines = [f"a = {a} = {cfg.fnum(float(a))}", f"b = {b} = {cfg.fnum(float(b))}"]
         return Output(lines, {"a": a, "b": b})
-    if args.geom_action == "trajectory":
+    if args.action == "trajectory":
         if args.samples < 1:
             raise ValueError(f"--samples must be >= 1, got {args.samples}")
         if args.samples > _MAX_SAMPLE_STEPS:
@@ -568,7 +561,6 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
             "range": traj.range_x,
         }
         return Output(lines, data, rows)
-    raise ValueError(f"unknown action {args.geom_action}")  # pragma: no cover
 
 
 def _cmd_errata(args, cfg: OutputConfig) -> Output:
@@ -602,38 +594,23 @@ def _cmd_verify(args, cfg: OutputConfig) -> Output:
 
 # ---------------------------------------------------------------- wiring
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "quad": _cmd_solve_extras,
-    "qfield": _cmd_qfield,
-    "fib": _cmd_fib,
-    "metallic": _cmd_metallic,
-    "cong": _cmd_cong,
-    "perfect": _cmd_perfect,
-    "goldbach": _cmd_goldbach,
-    "pnum": _cmd_pnum,
-    "geom": _cmd_geom,
-    "errata": _cmd_errata,
-    "verify": _cmd_verify,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that accepts -1/2 and -0.5 as positional values.
 
-    Every level, root and subcommands alike, takes the output flags. They
-    default to SUPPRESS, so a flag given before a subcommand is not
-    overwritten by that subcommand's parser; the root holds the real
-    defaults.
+    Every level takes the output flags. They default to SUPPRESS, so a subcommand's parser
+    keeps a flag given before it, and the root holds the defaults. --json and --csv are
+    spellings of --format, so the last format flag given wins.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.?\d+$")
         flag = self.add_argument
-        flag("--format", choices=("text", "json", "csv"), default=argparse.SUPPRESS, help="output format")
-        flag("--json", action="store_true", default=argparse.SUPPRESS, help="shorthand for --format json")
-        flag("--csv", action="store_true", default=argparse.SUPPRESS, help="shorthand for --format csv")
+        flag("--format", choices=_FORMATS, default=argparse.SUPPRESS, help="output format")
+        for name in ("json", "csv"):
+            flag(f"--{name}", dest="format", action="store_const", const=name, default=argparse.SUPPRESS,
+                 help=f"shorthand for --format {name}")
         flag("--precision", type=int, default=argparse.SUPPRESS, metavar="N", help="float digits (1..30)")
         flag("--out", metavar="FILE", default=argparse.SUPPRESS, help="write output to FILE instead of stdout")
 
@@ -644,15 +621,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact quadratic-equation toolkit: fields, solvers, congruences, "
         "perfect-number and Goldbach parabolas.",
     )
-    parser.set_defaults(format=None, json=False, csv=False, precision=12, out=None)
+    parser.set_defaults(format="text", precision=12, out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a*x^2 + b*x + c = 0 exactly")
+    p.set_defaults(run=_cmd_solve)
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("c")
 
     p = sub.add_parser("quad", help="root shifting, derivative identity, damping, four-family")
+    p.set_defaults(run=_cmd_solve_extras)
     quad_sub = p.add_subparsers(dest="action", required=True)
     ps = quad_sub.add_parser("shift")
     for name in ("a", "b", "c", "k"):
@@ -668,7 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("b", help="q > 0")
 
     p = sub.add_parser("qfield", help="exact arithmetic in Q(sqrt(m))")
-    qf_sub = p.add_subparsers(dest="qf_action", required=True)
+    p.set_defaults(run=_cmd_qfield)
+    qf_sub = p.add_subparsers(dest="action", required=True)
     ps = qf_sub.add_parser("make")
     ps.add_argument("a")
     ps.add_argument("b")
@@ -685,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("m", type=int)
 
     p = sub.add_parser("fib", help="Fibonacci power reduction, sums, unit groups")
-    fib_sub = p.add_subparsers(dest="fib_action", required=True)
+    p.set_defaults(run=_cmd_fib)
+    fib_sub = p.add_subparsers(dest="action", required=True)
     ps = fib_sub.add_parser("value")
     ps.add_argument("n", type=int)
     ps = fib_sub.add_parser("reduce")
@@ -698,7 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--case", choices=("III", "IV"), required=True)
 
     p = sub.add_parser("metallic", help="metallic means, radicand families, phi ledger")
-    metal_sub = p.add_subparsers(dest="metal_action", required=True)
+    p.set_defaults(run=_cmd_metallic)
+    metal_sub = p.add_subparsers(dest="action", required=True)
     ps = metal_sub.add_parser("table")
     ps.add_argument("--max-p", dest="max_p", type=int, default=4)
     ps = metal_sub.add_parser("classify")
@@ -710,7 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = metal_sub.add_parser("trig")
 
     p = sub.add_parser("cong", help="quadratic congruences mod an odd prime")
-    cong_sub = p.add_subparsers(dest="cong_action", required=True)
+    p.set_defaults(run=_cmd_cong)
+    cong_sub = p.add_subparsers(dest="action", required=True)
     ps = cong_sub.add_parser("legendre")
     ps.add_argument("r", type=int)
     ps.add_argument("p", type=int)
@@ -724,7 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("p", type=int)
 
     p = sub.add_parser("perfect", help="perfect-number parabola: tables, preimages, areas, sampling")
-    perf_sub = p.add_subparsers(dest="perfect_action", required=True)
+    p.set_defaults(run=_cmd_perfect)
+    perf_sub = p.add_subparsers(dest="action", required=True)
     ps = perf_sub.add_parser("table")
     ps.add_argument("--max-exp", dest="max_exp", type=int, default=13)
     ps = perf_sub.add_parser("preimage")
@@ -738,7 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--step", default="1/100")
 
     p = sub.add_parser("goldbach", help="witness search, range verification, witness parabolas")
-    gb_sub = p.add_subparsers(dest="gb_action", required=True)
+    p.set_defaults(run=_cmd_goldbach)
+    gb_sub = p.add_subparsers(dest="action", required=True)
     ps = gb_sub.add_parser("witness")
     ps.add_argument("n", type=int)
     ps.add_argument("--all", action="store_true", help="list every witness, not just minimal I")
@@ -754,7 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("l", type=int, nargs="?", default=1)
 
     p = sub.add_parser("pnum", help="repdigit p-numbers")
-    pn_sub = p.add_subparsers(dest="pnum_action", required=True)
+    p.set_defaults(run=_cmd_pnum)
+    pn_sub = p.add_subparsers(dest="action", required=True)
     ps = pn_sub.add_parser("associate")
     ps.add_argument("n", type=int)
     ps = pn_sub.add_parser("root")
@@ -764,7 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("t", type=int)
 
     p = sub.add_parser("geom", help="golden cut, Platonic solids, trajectories")
-    geom_sub = p.add_subparsers(dest="geom_action", required=True)
+    p.set_defaults(run=_cmd_geom)
+    geom_sub = p.add_subparsers(dest="action", required=True)
     ps = geom_sub.add_parser("platonic")
     ps.add_argument("solid", choices=sorted(_SOLID_ALIASES))
     ps.add_argument("--edge", default="1")
@@ -776,19 +763,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("g", type=float, nargs="?", default=9.8)
     ps.add_argument("--samples", type=int, default=20)
 
-    sub.add_parser("errata", help="the ledger of source-text discrepancies")
+    sub.add_parser("errata", help="the ledger of source-text discrepancies").set_defaults(run=_cmd_errata)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suites")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--scale", choices=verify.SCALES, default="quick")
 
     return parser
-
-
-def _resolve_config(args) -> OutputConfig:
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if args.json else ("csv" if args.csv else "text")
-    return OutputConfig(format=fmt, precision=args.precision)
 
 
 def _render(output: Output, cfg: OutputConfig, out_path: Optional[str]) -> None:
@@ -812,12 +793,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        cfg = OutputConfig(format=args.format, precision=args.precision)
     except ValueError as exc:
         parser.error(str(exc))
-    handler = _HANDLERS[args.command]
     try:
-        output = handler(args, cfg)
+        output = args.run(args, cfg)
         _render(output, cfg, args.out)
         sys.stdout.flush()
     except BrokenPipeError:

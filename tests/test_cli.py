@@ -111,6 +111,17 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["p"] == 13
 
+    def test_last_format_flag_wins_at_any_level(self, capsys):
+        code, out, _ = run(capsys, "--json", "fib", "group", "--case", "III", "--csv")
+        assert code == 0 and list(csv.reader(io.StringIO(out)))[0][0] == ""
+        code, out, _ = run(capsys, "--format", "csv", "fib", "group", "--case", "III", "--json")
+        assert code == 0 and json.loads(out)["order"] == 6
+
+    def test_namespace_has_one_format_and_one_action(self):
+        args = cli.build_parser().parse_args(["--csv", "fib", "--json", "group", "--case", "III"])
+        assert args.format == "json" and args.action == "group" and args.run is cli._cmd_fib
+        assert not {"json", "csv", "fib_action"} & set(vars(args))
+
     def test_root_flags_reach_the_command(self, capsys, tmp_path):
         target = tmp_path / "roots.json"
         code, out, _ = run(capsys, "--json", "--out", str(target), "solve", "1", "-1", "-1")
