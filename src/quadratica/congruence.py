@@ -143,7 +143,10 @@ def two_squares(p: int) -> tuple[int, int]:
     Cornacchia's descent: starting from x with x^2 = -1 (mod p), run the
     Euclidean algorithm on (p, x) until the remainder drops to sqrt(p); that
     remainder is one leg and the other is forced. p = 4t + 3 raises
-    NotRepresentable.
+    NotRepresentable. For a prime p, p minus that leg squared is always a
+    square; when it is not, p is composite and CompositeModulus is raised.
+    Above psi_13, where is_prime's True is only probable, that is the one
+    check of it here.
     """
     if p == 2:
         return (1, 1)
@@ -158,5 +161,5 @@ def two_squares(p: int) -> tuple[int, int]:
     other = p - b * b
     root = isqrt(other)
     if root * root != other:
-        raise AssertionError("Cornacchia descent failed")  # pragma: no cover
+        raise CompositeModulus(f"{p} is not prime: Cornacchia's descent leaves {other}, not a square")
     return tuple(sorted((b, root)))

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
-from .errors import EvenInput, InvalidPair, NoWitnessFound, NotCoprime
+from .errors import EvenInput, InvalidPair, NonPositiveParameter, NoWitnessFound, NotCoprime
 from .intmath import is_prime, sieve_flags
 from .solver import Quadratic
 
@@ -98,7 +98,7 @@ def parity_lemma(p: int, q: int) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class GoldbachWitness:
-    """N = p + q with p = M + I, q = M - I both prime."""
+    """N = p + q with p = M + I, q = M - I both prime; fields that disagree raise InvalidPair."""
 
     N: int
     M: int
@@ -113,7 +113,7 @@ class GoldbachWitness:
 
     def __post_init__(self):
         if self.p + self.q != self.N or self.p != self.M + self.I or self.q != self.M - self.I:
-            raise AssertionError("witness bookkeeping violated")  # pragma: no cover
+            raise InvalidPair(f"N = p + q = (M + I) + (M - I) fails for {self}")
 
 
 def _witness_iter(n: int, flags: bytearray) -> Iterator[GoldbachWitness]:
@@ -222,13 +222,16 @@ class HypClass(str, enum.Enum):
 def hypotenuse_number(n: int, i: int, l: int = 1) -> tuple[int, HypClass]:
     """H = (2n)^(2l) + I^(2l) from the legs of a witness triangle.
 
-    Needs gcd(2n, I) = 1. Classifies H as prime, prime square, or composite.
+    Needs n >= 1 and gcd(2n, I) = 1. Classifies H as prime, prime square, or
+    composite.
     verify's hypotenuse-quotient checks the quotient identity
     ((p+q)^(2l) + (p-q)^(2l)) / 2^(2l) = (2n)^(2l) + I^(2l) with p = 2n + I,
     q = 2n - I.
     """
     if l < 1:
         raise ValueError("exponent l must be >= 1")
+    if n < 1:
+        raise NonPositiveParameter(f"n must be >= 1, got {n}")
     if gcd(2 * n, i) != 1:
         raise NotCoprime(f"gcd(2n, I) must be 1, got gcd({2 * n}, {i})")
     h = (2 * n) ** (2 * l) + i ** (2 * l)

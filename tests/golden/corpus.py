@@ -105,6 +105,7 @@ goldbach verify --to 2000
 goldbach hypotenuse 2 1
 goldbach hypotenuse 3 1 2
 goldbach hypotenuse 2 2
+goldbach hypotenuse 0 1
 pnum root 987
 pnum parabola 3 2
 geom platonic cube --edge 2

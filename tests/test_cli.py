@@ -342,6 +342,11 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert (payload["H"], payload["class"]) == (169, "PrimeSquare")
 
+    def test_goldbach_hypotenuse_refuses_n_below_one(self, capsys):
+        code, out, err = run(capsys, "goldbach", "hypotenuse", "0", "1", "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "NonPositiveParameter"
+
     def test_goldbach_hypotenuse_bounded_by_bit_length(self, capsys):
         # H = 2^(2l) + 1 is estimated at 2l * 2 bits: 4096 at l = 1024, 4100 at l = 1025
         code, out, _ = run(capsys, "goldbach", "hypotenuse", "1", "1", "1024", "--json")

@@ -177,6 +177,17 @@ class TestTwoSquares:
         assert a * a + b * b == p
 
 
+    def test_failed_descent_means_composite(self, monkeypatch):
+        # a composite that is_prime passed (as a pseudoprime above psi_13 would be)
+        # gets a bogus sqrt(-1); 45 - 5^2 = 20 is not a square
+        monkeypatch.setattr(congruence, "is_prime", lambda n: True)
+        monkeypatch.setattr(
+            congruence, "_sqrt_mod", lambda r, p: congruence.CongruenceSolution(SolutionKind.TWO_ROOTS, (8, p - 8))
+        )
+        with pytest.raises(CompositeModulus, match="leaves 20"):
+            two_squares(45)
+
+
 class TestModulusCheckedOnce:
     def test_one_primality_test_per_call(self, monkeypatch):
         tested = []

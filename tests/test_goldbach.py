@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadratica.errors import EvenInput, InvalidPair, NoWitnessFound, NotCoprime
+from quadratica.errors import EvenInput, InvalidPair, NonPositiveParameter, NoWitnessFound, NotCoprime
 from quadratica.goldbach import (
+    GoldbachWitness,
     HypClass,
     find_witness,
     hypotenuse_number,
@@ -64,6 +65,12 @@ class TestFindWitness:
     def test_100(self):
         w = find_witness(100)
         assert (w.I, w.p, w.q) == (3, 53, 47)
+
+    def test_inconsistent_witness_fields_rejected(self):
+        assert GoldbachWitness(N=10, M=5, I=2, p=7, q=3).uses_even_prime is False
+        for fields in ({"N": 12}, {"M": 6}, {"I": 1}, {"q": 5}):
+            with pytest.raises(InvalidPair):
+                GoldbachWitness(**{"N": 10, "M": 5, "I": 2, "p": 7, "q": 3, **fields})
 
     def test_twice_prime_uses_i_zero(self):
         w = find_witness(26)
@@ -203,6 +210,12 @@ class TestHypotenuse:
         assert (h, kind) == (73, HypClass.PRIME)
         h, kind = hypotenuse_number(7, 3, 1)
         assert h == 205 and kind is HypClass.COMPOSITE
+
+    @pytest.mark.parametrize("n,i", [(0, 1), (0, -1), (-1, 1)])
+    def test_n_below_one_refused(self, n, i):
+        # n = 0 has no leg 2n, and H = 1 is not composite
+        with pytest.raises(NonPositiveParameter):
+            hypotenuse_number(n, i, 1)
 
     def test_coprimality_required(self):
         with pytest.raises(NotCoprime):
