@@ -176,7 +176,6 @@ class TestTwoSquares:
         a, b = two_squares(p)
         assert a * a + b * b == p
 
-
     def test_failed_descent_means_composite(self, monkeypatch):
         # a composite that is_prime passed (as a pseudoprime above psi_13 would be)
         # gets a bogus sqrt(-1); 45 - 5^2 = 20 is not a square
