@@ -10,7 +10,10 @@ split with Cornacchia's descent seeded by sqrt(-1) mod p.
 Composite, even, or prime-power moduli are rejected outright rather than
 partially supported. Each public function validates its modulus once, at
 entry; the internals (`_legendre`, `_sqrt_mod`, `_tonelli_shanks`) assume an
-odd prime and never test primality again.
+odd prime and never test primality again. Where a composite that passed
+`is_prime` would break an identity they rely on (Euler's criterion, the
+order bound in Tonelli-Shanks), they raise CompositeModulus instead of
+returning a wrong answer or never returning.
 """
 
 from __future__ import annotations
@@ -65,7 +68,11 @@ def legendre(r: int, p: int) -> int:
 
 def _legendre(r: int, p: int) -> int:
     ls = pow(r % p, (p - 1) // 2, p)
-    return -1 if ls == p - 1 else ls
+    if ls == p - 1:
+        return -1
+    if ls > 1:  # Euler's criterion gives 0, 1 or p - 1 for every r mod a prime
+        raise CompositeModulus(f"{p} is not prime: {r}^(({p} - 1)/2) is {ls} (mod {p})")
+    return ls
 
 
 def sqrt_mod(r: int, p: int) -> CongruenceSolution:
@@ -110,6 +117,8 @@ def _tonelli_shanks(r: int, p: int) -> int:
         while t != 1:
             t = t * t % p
             m += 1
+            if m == k:  # mod a prime, b's order divides 2^(k-1)
+                raise CompositeModulus(f"{p} is not prime: Tonelli-Shanks found an order above 2^{k - 1}")
         gs = pow(g, 1 << (k - m - 1), p)
         x = x * gs % p
         g = gs * gs % p

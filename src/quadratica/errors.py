@@ -94,3 +94,7 @@ class NonPositiveLength(DomainError):
 
 class InvalidAngle(DomainError):
     """Launch angle must lie strictly between 0 and pi/2."""
+
+
+class NonFiniteTrajectory(DomainError):
+    """A launch whose coefficients, apex or range are NaN or outside the float range."""

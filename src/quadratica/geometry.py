@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InvalidAngle, NonPositiveLength
+from .errors import InvalidAngle, NonFiniteTrajectory, NonPositiveLength
 from .qfield import QuadElem, RatLike, rational
 
 __all__ = [
@@ -180,15 +180,21 @@ def trajectory(v0: float, beta: float, g: float = 9.8) -> Trajectory:
 
     Apex from the vertex formula, range from v0^2 sin(2b)/g; verify's
     platonic-goldencut-trajectory cross-checks the two (the range is twice
-    the apex abscissa) at 1e-9 relative.
+    the apex abscissa) at 1e-9 relative. A launch whose coefficients, apex
+    or range come out NaN or infinite (a NaN input, or v0 or g so large or
+    small that v0^2 or a leaves the float range) raises NonFiniteTrajectory.
     """
     if not 0 < beta < math.pi / 2:
         raise InvalidAngle("angle must be in (0, pi/2)")
     if v0 <= 0 or g <= 0:
         raise ValueError("speed and gravity must be positive")
-    a = -g / (2 * v0 * v0 * math.cos(beta) ** 2)
+    den = 2 * v0 * v0 * math.cos(beta) ** 2
+    a = -g / den if den else -math.inf  # den is 0 when v0^2 underflows
     b = math.tan(beta)
-    apex_x = -b / (2 * a)
-    apex_y = -(b * b) / (4 * a)
+    # a is 0 when v0^2 overflows or g underflows: the apex is at infinity
+    apex_x, apex_y = (-b / (2 * a), -(b * b) / (4 * a)) if a else (math.inf, math.inf)
     range_x = v0 * v0 * math.sin(2 * beta) / g
+    if not all(map(math.isfinite, (a, b, apex_x, apex_y, range_x))):
+        inputs = f"v0 = {v0}, beta = {beta}, g = {g}"
+        raise NonFiniteTrajectory(f"{inputs} give a non-finite coefficient, apex or range")
     return Trajectory(a=a, b=b, c=0.0, apex_x=apex_x, apex_y=apex_y, range_x=range_x)

@@ -4,10 +4,11 @@
 n = 30, hundreds of random samples); `full` runs the acceptance-scale bounds
 (Goldbach to 10^6, 10^4 field-axiom samples per radicand, exhaustive modular
 square roots below 2000). All randomness is seeded, so both scales are
-deterministic. Checks return results instead of raising, and a check that
-raises anyway becomes a failing result, so one failure doesn't hide the
-rest; the harness accepts extra caller-supplied checks, which doubles as its
-own fault-injection self-test.
+deterministic. Each check calls :func:`_expect` at every identity it tests,
+which raises :class:`CheckFailed` naming the failing case's operands, and
+returns its detail string when all hold. :func:`run_all` turns whatever a
+check raises into a failing result that gives the exception and the line of
+this file where the check stopped, so one failure doesn't hide the rest.
 
 This module is the only home of the expected values (reference tables,
 constants, identities, brute-force oracles). The library functions compute
@@ -23,18 +24,17 @@ import math
 import random
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable
 
 from . import congruence, errata, fibgroup, geometry, goldbach, metallic, perfect, pnum
 from .intmath import is_prime, sieve_flags
 from .qfield import QuadElem, parse_quad
 from .solver import Quadratic, RootKind, four_family, shift_roots, solve, vertex
 
-__all__ = ["CheckResult", "run_all", "SCALES"]
+__all__ = ["CheckFailed", "CheckResult", "run_all", "SCALES"]
 
 SCALES = ("quick", "full")
 
@@ -45,7 +45,21 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
-    elapsed: float = 0.0  # seconds, filled in by run_all
+    elapsed: float = 0.0  # seconds
+
+
+class CheckFailed(Exception):
+    """An identity that a check tests does not hold."""
+
+
+def _expect(holds: bool, *operands: object) -> None:
+    """Raise CheckFailed, naming the operands, unless the identity holds.
+
+    An explicit raise, not `assert`: `python -O` strips asserts.
+    """
+    if not holds:
+        case = f" for {', '.join(map(str, operands))}" if operands else ""
+        raise CheckFailed(f"does not hold{case}")
 
 
 def _rand_frac(rng: random.Random, span: int = 99, den: int = 30) -> Fraction:
@@ -62,146 +76,120 @@ def _rand_nonzero(rng: random.Random, span: int = 99, den: int = 30) -> Fraction
 # ---------------------------------------------------------------- qfield
 
 
-def check_field_axioms(samples: int, seed: int = 101) -> CheckResult:
+def check_field_axioms(samples: int, seed: int = 101) -> str:
     """Associativity, commutativity, distributivity, inverses, norm and
     conjugation morphisms, float embedding, canonical idempotence."""
     rng = random.Random(seed)
     radicands = (2, 3, 5, -1, -3, 13)
-    failures = 0
-    total = 0
-    one = QuadElem.from_rational(1)
+    zero, one = QuadElem.from_rational(0), QuadElem.from_rational(1)
     for m in radicands:
         for _ in range(samples):
             z = QuadElem(_rand_frac(rng), _rand_frac(rng), m)
             w = QuadElem(_rand_frac(rng), _rand_frac(rng), m)
             v = QuadElem(_rand_frac(rng), _rand_frac(rng), m)
-            total += 1
-            ok = (
-                (z + w) + v == z + (w + v)
-                and (z * w) * v == z * (w * v)
-                and z + w == w + z
-                and z * w == w * z
-                and z * (w + v) == z * w + z * v
-                and z + (-z) == QuadElem.from_rational(0)
-                and (z * w).norm() == z.norm() * w.norm()
-                and (z * w).conj() == z.conj() * w.conj()
-                and (z + w).conj() == z.conj() + w.conj()
-                and QuadElem(z.a, z.b, z.m) == z
-            )
+            _expect((z + w) + v == z + (w + v) and (z * w) * v == z * (w * v), z, w, v)
+            _expect(z + w == w + z and z * w == w * z, z, w)
+            _expect(z * (w + v) == z * w + z * v, z, w, v)
+            _expect(z + (-z) == zero and QuadElem(z.a, z.b, z.m) == z, z)
+            _expect((z * w).norm() == z.norm() * w.norm(), z, w)
+            _expect((z * w).conj() == z.conj() * w.conj(), z, w)
+            _expect((z + w).conj() == z.conj() + w.conj(), z, w)
             if z:
-                ok = ok and z * z.inverse() == one
+                _expect(z * z.inverse() == one, z)
             if m > 0:
-                fz, fw = float(z), float(w)
                 prod = float(z * w)
-                scale = max(abs(prod), 1.0)
-                ok = ok and abs(prod - fz * fw) <= 1e-12 * scale
-            if not ok:
-                failures += 1
-    return CheckResult(
-        "qfield",
-        "field-axioms",
-        failures == 0,
-        f"{total} triples over radicands {radicands}, {failures} failures",
-    )
+                _expect(abs(prod - float(z) * float(w)) <= 1e-12 * max(abs(prod), 1.0), z, w)
+    return f"{len(radicands) * samples} triples over radicands {radicands}, 0 failures"
 
 
-def check_text_round_trip(samples: int = 500, seed: int = 102) -> CheckResult:
+def check_text_round_trip(samples: int = 500, seed: int = 102) -> str:
     rng = random.Random(seed)
-    ok = True
     for _ in range(samples):
         m = rng.choice((0, 2, 3, 5, -1, -3, 13, 21))
         z = QuadElem(_rand_frac(rng), _rand_frac(rng) if m else Fraction(0), m)
-        ok = ok and parse_quad(str(z)) == z and QuadElem.from_dict(z.to_dict()) == z
-    return CheckResult("qfield", "text-json-round-trip", ok, f"{samples} samples")
+        _expect(parse_quad(str(z)) == z and QuadElem.from_dict(z.to_dict()) == z, z)
+    return f"{samples} samples"
 
 
 # ---------------------------------------------------------------- solver
 
 
-def check_vieta_substitution(samples: int, seed: int = 201) -> CheckResult:
+def check_vieta_substitution(samples: int, seed: int = 201) -> str:
     rng = random.Random(seed)
     zero = QuadElem.from_rational(0)
-    ok = True
     for _ in range(samples):
         q = Quadratic(_rand_nonzero(rng, 20, 10), _rand_frac(rng, 20, 10), _rand_frac(rng, 20, 10))
         pair = solve(q)
-        ok = ok and pair.r1 + pair.r2 == QuadElem.from_rational(-q.b / q.a)
-        ok = ok and pair.r1 * pair.r2 == QuadElem.from_rational(q.c / q.a)
-        ok = ok and q(pair.r1) == zero and q(pair.r2) == zero
-        v = vertex(q)
-        ok = ok and v.expand() == q
+        _expect(pair.r1 + pair.r2 == QuadElem.from_rational(-q.b / q.a), q)
+        _expect(pair.r1 * pair.r2 == QuadElem.from_rational(q.c / q.a), q)
+        _expect(q(pair.r1) == zero and q(pair.r2) == zero, q)
+        _expect(vertex(q).expand() == q, q)
     for _ in range(samples):
         # x -> -x swaps (a) x^2 + px + q with (b) x^2 - px + q, and (c) with (d)
         p, q = (Fraction(rng.randint(1, 20), rng.randint(1, 10)) for _ in range(2))
         family = {member.label: member.roots for member in four_family(p, q)}
         for pos, neg in (("a", "b"), ("c", "d")):
-            ok = ok and {-family[pos].r1, -family[pos].r2} == {family[neg].r1, family[neg].r2}
-        ok = ok and family["d"].kind is RootKind.REAL_DISTINCT  # p^2 + 4q > 0
-    return CheckResult("solver", "vieta-substitution-vertex", ok, f"{samples} random quadratics")
+            _expect({-family[pos].r1, -family[pos].r2} == {family[neg].r1, family[neg].r2}, p, q)
+        _expect(family["d"].kind is RootKind.REAL_DISTINCT, p, q)  # p^2 + 4q > 0
+    return f"{samples} random quadratics"
 
 
-def check_shift_companion(samples: int, seed: int = 202) -> CheckResult:
+def check_shift_companion(samples: int, seed: int = 202) -> str:
     """Displayed family form, radical-arithmetic oracle, and k/-k composition."""
     rng = random.Random(seed)
-    ok = True
     for _ in range(samples):
         p = _rand_frac(rng, 50, 20)
         q = _rand_frac(rng, 50, 20)
         k = _rand_frac(rng, 50, 20)
         base = Quadratic(1, -p, q)
         shifted = shift_roots(base, k)
-        ok = ok and shifted == Quadratic(1, -(p + 2 * k), k * k + p * k + q)
+        _expect(shifted == Quadratic(1, -(p + 2 * k), k * k + p * k + q), p, q, k)
         # oracle: shift the exact roots and re-form the polynomial
         pair = solve(base)
         s = (pair.r1 + k) + (pair.r2 + k)
         prod = (pair.r1 + k) * (pair.r2 + k)
-        ok = ok and s.is_rational and prod.is_rational
-        ok = ok and shifted == Quadratic(1, -s.as_fraction(), prod.as_fraction())
-        ok = ok and shift_roots(shifted, -k) == base
-    ids = {e.id for e in errata.ERRATA}
-    ok = ok and {"shift-companion-plus", "shift-companion-minus"} <= ids
-    ok = ok and "1 - 2p" in errata.get_entry("shift-companion-plus").derived
-    ok = ok and "2p + 1" in errata.get_entry("shift-companion-minus").derived
-    return CheckResult("solver", "shift-companion", ok, f"{samples} (p,q,k) trials")
+        _expect(s.is_rational and prod.is_rational, p, q, k)
+        _expect(shifted == Quadratic(1, -s.as_fraction(), prod.as_fraction()), p, q, k)
+        _expect(shift_roots(shifted, -k) == base, p, q, k)
+    _expect({"shift-companion-plus", "shift-companion-minus"} <= {e.id for e in errata.ERRATA})
+    _expect("1 - 2p" in errata.get_entry("shift-companion-plus").derived)
+    _expect("2p + 1" in errata.get_entry("shift-companion-minus").derived)
+    return f"{samples} (p,q,k) trials"
 
 
-def check_pq_specializations(limit: int = 60) -> CheckResult:
-    ok = True
+def check_pq_specializations(limit: int = 60) -> str:
     for p in range(1, limit + 1):
-        ok = ok and shift_roots(Quadratic(1, -p, -p), 1) == Quadratic(1, -(p + 2), 1)
-        ok = ok and shift_roots(Quadratic(1, p, p), 1) == Quadratic(1, -(2 - p), 1)
-        ok = ok and shift_roots(Quadratic(1, p, -p), 1) == Quadratic(1, -(2 - p), 1 - 2 * p)
-        ok = ok and shift_roots(Quadratic(1, -p, p), 1) == Quadratic(1, -(p + 2), 2 * p + 1)
+        _expect(shift_roots(Quadratic(1, -p, -p), 1) == Quadratic(1, -(p + 2), 1), p)
+        _expect(shift_roots(Quadratic(1, p, p), 1) == Quadratic(1, -(2 - p), 1), p)
+        _expect(shift_roots(Quadratic(1, p, -p), 1) == Quadratic(1, -(2 - p), 1 - 2 * p), p)
+        _expect(shift_roots(Quadratic(1, -p, p), 1) == Quadratic(1, -(p + 2), 2 * p + 1), p)
         # subtracting p moves the roots of x^2 - px + p onto x^2 + px + p
-        ok = ok and shift_roots(Quadratic(1, -p, p), -p) == Quadratic(1, p, p)
-    return CheckResult("solver", "p=q-specializations", ok, f"p up to {limit}")
+        _expect(shift_roots(Quadratic(1, -p, p), -p) == Quadratic(1, p, p), p)
+    return f"p up to {limit}"
 
 
 # ---------------------------------------------------------------- fibgroup
 
 
-def check_power_reduction(n_max: int = 90) -> CheckResult:
-    ok = True
+def check_power_reduction(n_max: int = 90) -> str:
     for case in (fibgroup.Case.I, fibgroup.Case.II):
         x = fibgroup.case_root(case)
         for n in range(1, n_max + 1):
             pair = fibgroup.power_reduce(case, n)
-            ok = ok and x**n == pair.coeff * x + pair.const
-            ok = ok and x.conj() ** n == pair.coeff * x.conj() + pair.const
-    return CheckResult("fibgroup", "power-reduction", ok, f"cases I/II, n <= {n_max}")
+            _expect(x**n == pair.coeff * x + pair.const, case, n)
+            _expect(x.conj() ** n == pair.coeff * x.conj() + pair.const, case, n)
+    return f"cases I/II, n <= {n_max}"
 
 
-def check_telescoping(n_max: int = 90) -> CheckResult:
-    ok = True
+def check_telescoping(n_max: int = 90) -> str:
     for n in range(1, n_max + 1):
         # k = 1 contributes f_{-1} = 0 under the f0 = f1 = 1 seeds
         total = sum(fibgroup.fib(k - 2) for k in range(2, n + 1))
-        ok = ok and total == fibgroup.fib(n) - 1
-    return CheckResult("fibgroup", "telescoping-sum", ok, f"n <= {n_max}")
+        _expect(total == fibgroup.fib(n) - 1, n)
+    return f"n <= {n_max}"
 
 
-def check_partial_sums(n_max: int) -> CheckResult:
-    ok = True
+def check_partial_sums(n_max: int) -> str:
     for case in fibgroup.Case:
         x = fibgroup.case_root(case)
         xbar = x.conj()
@@ -213,114 +201,107 @@ def check_partial_sums(n_max: int) -> CheckResult:
             power_bar = power_bar * xbar
             total = total + power
             total_bar = total_bar + power_bar
-            ok = ok and total == fibgroup.closed_power_sum(case, n)
-            ok = ok and total_bar == fibgroup.closed_power_sum(case, n, x=xbar)
+            _expect(total == fibgroup.closed_power_sum(case, n), case, n)
+            _expect(total_bar == fibgroup.closed_power_sum(case, n, x=xbar), case, n)
             if case in (fibgroup.Case.III, fibgroup.Case.IV):
-                ok = ok and total == fibgroup.residue_power_sum(case, n)
+                _expect(total == fibgroup.residue_power_sum(case, n), case, n)
         # periodicity of the complex cases
         if case is fibgroup.Case.III:
-            ok = ok and fibgroup.partial_power_sum(case, 6) == fibgroup.partial_power_sum(case, 12)
+            _expect(fibgroup.partial_power_sum(case, 6) == fibgroup.partial_power_sum(case, 12))
         if case is fibgroup.Case.IV:
-            ok = ok and fibgroup.partial_power_sum(case, 3) == fibgroup.partial_power_sum(case, 6)
+            _expect(fibgroup.partial_power_sum(case, 3) == fibgroup.partial_power_sum(case, 6))
             # the stated anchor values: -1, 0, x at n = 2, 3, 4
-            ok = ok and fibgroup.partial_power_sum(case, 2) == QuadElem.from_rational(-1)
-            ok = ok and fibgroup.partial_power_sum(case, 3) == QuadElem.from_rational(0)
-            ok = ok and fibgroup.partial_power_sum(case, 4) == x
-    return CheckResult("fibgroup", "partial-sums", ok, f"all cases, n <= {n_max}")
+            _expect(fibgroup.partial_power_sum(case, 2) == QuadElem.from_rational(-1))
+            _expect(fibgroup.partial_power_sum(case, 3) == QuadElem.from_rational(0))
+            _expect(fibgroup.partial_power_sum(case, 4) == x)
+    return f"all cases, n <= {n_max}"
 
 
-def check_unit_groups() -> CheckResult:
+def check_unit_groups() -> str:
     one = QuadElem.from_rational(1)
-    ok = True
     for case, order in ((fibgroup.Case.III, 6), (fibgroup.Case.IV, 3)):
         group = fibgroup.unit_group(case)
         x = fibgroup.case_root(case)
         elements = set(group.elements)
-        ok = ok and group.order == order == len(elements) and one in elements
-        ok = ok and {x**k for k in range(1, order + 1)} == elements  # cyclic
+        _expect(group.order == order == len(elements) and one in elements, case)
+        _expect({x**k for k in range(1, order + 1)} == elements, case)  # cyclic
         for t in range(11):
             if case is fibgroup.Case.III:
-                ok = ok and x ** (2 + 6 * t) == x - 1 and x ** (4 + 6 * t) == -x and x ** (6 + 6 * t) == one
+                _expect(x ** (2 + 6 * t) == x - 1 and x ** (4 + 6 * t) == -x, case, t)
+                _expect(x ** (6 + 6 * t) == one, case, t)
             else:
-                ok = ok and x ** (3 + 3 * t) == one and x ** (4 + 3 * t) == x
-        closed = all(z * w in elements for z in elements for w in elements)
-        ok = ok and closed
-        if not closed:
-            continue  # the Cayley table indexes every product
+                _expect(x ** (3 + 3 * t) == one and x ** (4 + 3 * t) == x, case, t)
+        # closure comes first: the Cayley table indexes every product
+        _expect(all(z * w in elements for z in elements for w in elements), case)
         table = fibgroup.multiplication_table(group)
         n = group.order
         identity = group.index_of(one)
-        ok = ok and all(sorted(row) == list(range(n)) for row in table)  # cancellation
-        ok = ok and table[identity] == list(range(n))  # identity row
-        ok = ok and all(identity in row for row in table)  # inverses
-        ok = ok and all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
-    return CheckResult("fibgroup", "unit-groups", ok, "orders 6 and 3, Latin-square tables")
+        _expect(all(sorted(row) == list(range(n)) for row in table), case)  # cancellation
+        _expect(table[identity] == list(range(n)), case)  # identity row
+        _expect(all(identity in row for row in table), case)  # inverses
+        _expect(all(table[i][j] == table[j][i] for i in range(n) for j in range(n)), case)
+    return "orders 6 and 3, Latin-square tables"
 
 
 # ---------------------------------------------------------------- metallic
 
 
-def check_metallic_table() -> CheckResult:
+def check_metallic_table() -> str:
     expected = {
         (1, 1): QuadElem(Fraction(1, 2), Fraction(1, 2), 5),
         (2, 1): QuadElem(Fraction(1), Fraction(1), 2),
         (3, 1): QuadElem(Fraction(3, 2), Fraction(1, 2), 13),
         (4, 1): QuadElem(Fraction(2), Fraction(1), 5),
     }
-    ok = True
     for (p, q), sigma in expected.items():
         entry = metallic.metallic(p, q)
-        ok = ok and entry.sigma == sigma and entry.equation(entry.sigma) == 0
-    return CheckResult("metallic", "table", ok, "p = 1..4, q = 1")
+        _expect(entry.sigma == sigma and entry.equation(entry.sigma) == 0, p, q)
+    return "p = 1..4, q = 1"
 
 
-def check_phi_ledger(n_max: int) -> CheckResult:
+def check_phi_ledger(n_max: int) -> str:
     phi, phi_bar = fibgroup.PHI, fibgroup.PHI_BAR
     rows = metallic.phi_ledger(n_max)
-    ok = all(flag for _, flag in metallic.phi_properties())
-    ok = ok and [row.n for row in rows] == list(range(2, n_max + 1))
+    _expect(all(flag for _, flag in metallic.phi_properties()))
+    _expect([row.n for row in rows] == list(range(2, n_max + 1)))
     for row in rows:
         power, power_bar = phi**row.n, phi_bar**row.n
-        ok = ok and power == row.coeff * phi + row.const
-        ok = ok and power_bar == row.coeff * phi_bar + row.const
-        ok = ok and power + power_bar == QuadElem.from_rational(row.power_sum)
-        ok = ok and power - power_bar == QuadElem(0, row.diff_coeff, 5)
-    ok = ok and any(row.errata_id == "phi-sixth-power" for row in rows if row.n == 6)
-    ok = ok and fibgroup.PHI**6 == 8 * fibgroup.PHI + 5
-    ok = ok and "8φ + 5" in errata.get_entry("phi-sixth-power").derived
-    return CheckResult("metallic", "phi-ledger", ok, f"rows 2..{n_max} plus properties 1-8")
+        _expect(power == row.coeff * phi + row.const, row.n)
+        _expect(power_bar == row.coeff * phi_bar + row.const, row.n)
+        _expect(power + power_bar == QuadElem.from_rational(row.power_sum), row.n)
+        _expect(power - power_bar == QuadElem(0, row.diff_coeff, 5), row.n)
+    _expect(any(row.errata_id == "phi-sixth-power" for row in rows if row.n == 6))
+    _expect(fibgroup.PHI**6 == 8 * fibgroup.PHI + 5)
+    _expect("8φ + 5" in errata.get_entry("phi-sixth-power").derived)
+    return f"rows 2..{n_max} plus properties 1-8"
 
 
-def check_integer_root_family(k_max: int = 100) -> CheckResult:
-    ok = True
+def check_integer_root_family(k_max: int = 100) -> str:
     for k in range(0, k_max + 1):
         eq = Quadratic(1, -1, -2 * k * (2 * k + 1))
-        ok = ok and eq(2 * k + 1) == 0 and eq(-2 * k) == 0
-        ok = ok and 4 * (2 * k * (2 * k + 1)) + 1 == (4 * k + 1) ** 2
-    return CheckResult("metallic", "integer-root-family", ok, f"k <= {k_max}")
+        _expect(eq(2 * k + 1) == 0 and eq(-2 * k) == 0, k)
+        _expect(4 * (2 * k * (2 * k + 1)) + 1 == (4 * k + 1) ** 2, k)
+    return f"k <= {k_max}"
 
 
-def check_creation_and_trig() -> CheckResult:
-    ok = all(
-        metallic.creation_equation(m) == Fraction(m + 1, 2)
-        for m in (2, 3, 5, 6, 7, 13, -1, -3, 21)
-    )
+def check_creation_and_trig() -> str:
+    for m in (2, 3, 5, 6, 7, 13, -1, -3, 21):
+        _expect(metallic.creation_equation(m) == Fraction(m + 1, 2), m)
     report = metallic.golden_trig()
-    ok = ok and report.ok
+    _expect(report.ok)
     # cos(t) = PHI/2 needs (1 + sqrt(m))/4 <= 1
-    ok = ok and all((1 + math.sqrt(m)) / 4 <= 1 for m in report.feasible_radicands)
-    ok = ok and (1 + math.sqrt(report.infeasible_example)) / 4 > 1
+    _expect(all((1 + math.sqrt(m)) / 4 <= 1 for m in report.feasible_radicands))
+    _expect((1 + math.sqrt(report.infeasible_example)) / 4 > 1)
     lo, hi = metallic.irrationality_bracket()
-    ok = ok and lo < float(fibgroup.PHI) < hi
-    return CheckResult("metallic", "creation-trig", ok, "exact halves + 1e-12 numerics")
+    _expect(lo < float(fibgroup.PHI) < hi)
+    return "exact halves + 1e-12 numerics"
 
 
 # ---------------------------------------------------------------- congruence
 
 
-def check_sqrt_mod_exhaustive(p_limit: int) -> CheckResult:
+def check_sqrt_mod_exhaustive(p_limit: int) -> str:
     flags = sieve_flags(p_limit)
-    ok = True
     count = 0
     for p in range(3, p_limit, 2):
         if not flags[p]:
@@ -329,63 +310,56 @@ def check_sqrt_mod_exhaustive(p_limit: int) -> CheckResult:
         for x in range(p):
             squares.setdefault(x * x % p, []).append(x)
         for r in range(p):
-            got = congruence.sqrt_mod(r, p)
-            ok = ok and list(got.roots) == sorted(squares.get(r, []))
-            count += 1
-    return CheckResult("congruence", "sqrt-mod-vs-brute-force", ok, f"{count} residues, p < {p_limit}")
+            _expect(list(congruence.sqrt_mod(r, p).roots) == sorted(squares.get(r, [])), r, p)
+        count += p
+    return f"{count} residues, p < {p_limit}"
 
 
-def check_quad_mod_random(samples: int, seed: int = 301) -> CheckResult:
+def check_quad_mod_random(samples: int, seed: int = 301) -> str:
     rng = random.Random(seed)
     flags = sieve_flags(500)
     primes = [p for p in range(3, 500, 2) if flags[p]]
-    ok = True
     for _ in range(samples):
         p = rng.choice(primes)
         a = rng.randrange(1, p)
         b = rng.randrange(p)
         c = rng.randrange(p)
         brute = sorted(x for x in range(p) if (a * x * x + b * x + c) % p == 0)
-        got = congruence.solve_quad_mod(a, b, c, p)
-        ok = ok and list(got.roots) == brute
-    return CheckResult("congruence", "quad-mod-vs-brute-force", ok, f"{samples} random congruences")
+        _expect(list(congruence.solve_quad_mod(a, b, c, p).roots) == brute, a, b, c, p)
+    return f"{samples} random congruences"
 
 
-def check_four_t_plus_one(p_limit: int) -> CheckResult:
+def check_four_t_plus_one(p_limit: int) -> str:
     flags = sieve_flags(p_limit)
-    ok = True
     count = 0
     for p in range(3, p_limit, 2):
         if not flags[p]:
             continue
         count += 1
-        has_root = congruence.legendre(-1, p) == 1
-        ok = ok and has_root == (p % 4 == 1)
+        _expect((congruence.legendre(-1, p) == 1) == (p % 4 == 1), p)
         if p % 4 == 1:
             a, b = congruence.two_squares(p)
-            ok = ok and a * a + b * b == p and a <= b
-    ok = ok and [congruence.two_squares(p) for p in (5, 13, 17)] == [(1, 2), (2, 3), (1, 4)]
-    return CheckResult(
-        "congruence", "4t+1-criterion-two-squares", ok, f"{count} odd primes < {p_limit}"
-    )
+            _expect(a * a + b * b == p and a <= b, p)
+    _expect([congruence.two_squares(p) for p in (5, 13, 17)] == [(1, 2), (2, 3), (1, 4)])
+    return f"{count} odd primes < {p_limit}"
 
 
-def check_legendre_multiplicative(samples: int = 300, seed: int = 302) -> CheckResult:
+def check_legendre_multiplicative(samples: int = 300, seed: int = 302) -> str:
     rng = random.Random(seed)
     flags = sieve_flags(2000)
     primes = [p for p in range(3, 2000, 2) if flags[p]]
-    ok = True
     for _ in range(samples):
         p = rng.choice(primes)
         r, s = rng.randrange(1, p), rng.randrange(1, p)
-        ok = ok and congruence.legendre(r * s, p) == congruence.legendre(r, p) * congruence.legendre(s, p)
-    return CheckResult("congruence", "legendre-multiplicativity", ok, f"{samples} random pairs")
+        product = congruence.legendre(r, p) * congruence.legendre(s, p)
+        _expect(congruence.legendre(r * s, p) == product, r, s, p)
+    return f"{samples} random pairs"
 
 
 # ---------------------------------------------------------------- perfect
 
 
-def check_perfect_table() -> CheckResult:
+def check_perfect_table() -> str:
     expected = {
         1: (6, Fraction(-5, 2)),
         3: (28, Fraction(-9, 2)),
@@ -396,71 +370,64 @@ def check_perfect_table() -> CheckResult:
         4095: (33550336, Fraction(-8193, 2)),
         1023: (2096128, Fraction(-2049, 2)),
     }
-    ok = True
     for x1, (value, x2) in expected.items():
-        ok = ok and perfect.parabola(x1) == value
-        inverted = perfect.preimage(value)
-        ok = ok and inverted == (x1, x2)
-    return CheckResult("perfect", "table-reproduction", ok, f"{len(expected)} rows, both directions")
+        _expect(perfect.parabola(x1) == value, x1)
+        _expect(perfect.preimage(value) == (x1, x2), value)
+    return f"{len(expected)} rows, both directions"
 
 
-def check_perfect_records(p_max: int = 19) -> CheckResult:
-    ok = True
+def check_perfect_records(p_max: int = 19) -> str:
     for p in range(2, p_max + 1):
         if not is_prime(p):
             continue
         rec = perfect.perfect_from_exponent(p)
-        ok = ok and rec.is_perfect == perfect.divisor_sum_is_perfect(rec.value)
-        ok = ok and perfect.parabola(rec.x1) == rec.value
-        ok = ok and 8 * rec.value + 1 == ((1 << (p + 1)) - 1) ** 2
-    return CheckResult("perfect", "lucas-lehmer-vs-divisor-sum", ok, f"prime exponents <= {p_max}")
+        _expect(rec.is_perfect == perfect.divisor_sum_is_perfect(rec.value), p)
+        _expect(perfect.parabola(rec.x1) == rec.value, p)
+        _expect(8 * rec.value + 1 == ((1 << (p + 1)) - 1) ** 2, p)
+    return f"prime exponents <= {p_max}"
 
 
-def check_parity_contracts(span: int) -> CheckResult:
-    ok = True
+def check_parity_contracts(span: int) -> str:
     for n in range(-span, span + 1):
-        ok = ok and perfect.parity_map("f", n) % 2 != n % 2
-        ok = ok and perfect.parity_map("h", n) % 2 == n % 2
-    return CheckResult("perfect", "parity-contracts", ok, f"integers in [-{span}, {span}]")
+        _expect(perfect.parity_map("f", n) % 2 != n % 2 and perfect.parity_map("h", n) % 2 == n % 2, n)
+    return f"integers in [-{span}, {span}]"
 
 
-def check_x1_forms(limit: int = 60) -> CheckResult:
-    ok = True
+def check_x1_forms(limit: int = 60) -> str:
     for l in range(1, limit + 1):
-        ok = ok and perfect.parabola(2**l - 1) == 2**l * (2 ** (l + 1) - 1)
-        ok = ok and perfect.parabola(2**l + 1) == 2**l * (2 ** (l + 1) + 7) + 6
+        _expect(perfect.parabola(2**l - 1) == 2**l * (2 ** (l + 1) - 1), l)
+        _expect(perfect.parabola(2**l + 1) == 2**l * (2 ** (l + 1) + 7) + 6, l)
     for n in range(0, limit + 1):
-        ok = ok and perfect.parabola(2 * n + 1) == 8 * n * n + 14 * n + 6
-    return CheckResult("perfect", "x1-closed-forms", ok, f"l, n <= {limit}")
+        _expect(perfect.parabola(2 * n + 1) == 8 * n * n + 14 * n + 6, n)
+    return f"l, n <= {limit}"
 
 
-def check_difference_identity(samples: int, seed: int = 401) -> CheckResult:
+def check_difference_identity(samples: int, seed: int = 401) -> str:
     """f(a) - f(b) = (a - b)(2a + 2b + 3), and the chord geometry of each pair."""
     rng = random.Random(seed)
-    ok = True
     for _ in range(samples):
         a, b = _rand_frac(rng), _rand_frac(rng)
-        ok = ok and perfect.difference_identity(a, b)
+        _expect(perfect.difference_identity(a, b), a, b)
         if a == b:
             continue
         a, b = min(a, b), max(a, b)
         chord = perfect.chord_geometry(a, b)
         fa, fb = perfect.parabola(a), perfect.parabola(b)
-        ok = ok and chord.slope * a + chord.intercept == fa and chord.slope * b + chord.intercept == fb
+        _expect(chord.slope * a + chord.intercept == fa and chord.slope * b + chord.intercept == fb, a, b)
         combo = (b - a) / 6 * (2 * fa + 2 * fb + 4 * a * b + 3 * a + 3 * b + 2)
-        ok = ok and chord.parabola_integral == combo
-        ok = ok and chord.chord_area == (b - a) ** 3 / 3
-    zero_case = perfect.parabola(Fraction(-1)) == 0 and perfect.parabola(Fraction(-1, 2)) == 0
-    return CheckResult("perfect", "difference-identity", ok and zero_case, f"{samples} rational pairs")
+        _expect(chord.parabola_integral == combo, a, b)
+        _expect(chord.chord_area == (b - a) ** 3 / 3, a, b)
+    _expect(perfect.parabola(Fraction(-1)) == 0 and perfect.parabola(Fraction(-1, 2)) == 0)
+    return f"{samples} rational pairs"
 
 
-def check_areas_and_constants() -> CheckResult:
+def check_areas_and_constants() -> str:
     left = perfect.chord_geometry(Fraction(-1), Fraction(-1, 2))
     right = perfect.chord_geometry(Fraction(-1, 2), Fraction(0))
-    ok = left.axis_area == Fraction(1, 24) and right.axis_area == Fraction(5, 24)
-    ok = ok and left.axis_area + right.axis_area == Fraction(1, 4)
+    _expect(left.axis_area == Fraction(1, 24) and right.axis_area == Fraction(5, 24))
+    _expect(left.axis_area + right.axis_area == Fraction(1, 4))
     v = vertex(Quadratic(2, 3, 1))
-    ok = ok and (v.h, v.k) == (Fraction(-3, 4), Fraction(-1, 8))
+    _expect((v.h, v.k) == (Fraction(-3, 4), Fraction(-1, 8)))
     phi = float(fibgroup.PHI)
     targets = [
         (perfect.parabola(math.pi), 30.1639, 1e-3),
@@ -484,214 +451,181 @@ def check_areas_and_constants() -> CheckResult:
         (2 * phi + 3 * math.pi, 12.6608459382691694154, 1e-6),
         (3 * phi + 2 * math.pi, 11.13728727342927102693, 1e-6),
     ]
-    ok = ok and all(abs(got - want) <= tol for got, want, tol in targets)
-    return CheckResult("perfect", "areas-and-constants", ok, f"{len(targets)} constants + exact areas")
+    for got, want, tol in targets:
+        _expect(abs(got - want) <= tol, got, want)
+    return f"{len(targets)} constants + exact areas"
 
 
-def check_h_never_perfect(scan_limit: int) -> CheckResult:
+def check_h_never_perfect(scan_limit: int) -> str:
     perfect_values = {
         rec.value
         for rec in (perfect.perfect_from_exponent(p) for p in (2, 3, 5, 7, 13, 17, 19, 31))
         if rec.is_perfect
     }
     # inversion: 2n^2 + n = P needs 1 + 8P to be an odd square with root = 4n + 1
-    ok = True
-    from math import isqrt
-
     for value in perfect_values:
-        disc = 1 + 8 * value
-        root = isqrt(disc)
-        ok = ok and not (root * root == disc and root % 4 == 1)
-    hits = 0
-    for n in range(1, scan_limit + 1):
+        root = math.isqrt(1 + 8 * value)
+        _expect(not (root * root == 1 + 8 * value and root % 4 == 1), value)
+    for n in range(1, scan_limit + 1):  # 10^6 terms at full scale: a test without a call per term
         if perfect.even_preserving_map(n) in perfect_values:
-            hits += 1
-    return CheckResult(
-        "perfect", "h-never-perfect", ok and hits == 0, f"inversion + scan n <= {scan_limit}"
-    )
+            raise CheckFailed(f"h({n}) is perfect")
+    return f"inversion + scan n <= {scan_limit}"
 
 
 # ---------------------------------------------------------------- goldbach
 
 
-def check_goldbach_range(stop: int) -> CheckResult:
+def check_goldbach_range(stop: int) -> str:
     summary = goldbach.verify_range(stop)
-    expected = (stop - 4) // 2 + 1
-    ok = summary.count == expected and summary.max_i >= 0
-    ok = ok and {(17, 7), (19, 5)} <= {(w.p, w.q) for w in goldbach.witnesses(24)}
-    return CheckResult(
-        "goldbach",
-        "witness-range",
-        ok,
-        f"{summary.count} even N <= {stop}, max I = {summary.max_i} at N = {summary.n_at_max_i}",
-    )
+    _expect(summary.count == (stop - 4) // 2 + 1 and summary.max_i >= 0, summary.count, summary.max_i)
+    _expect({(17, 7), (19, 5)} <= {(w.p, w.q) for w in goldbach.witnesses(24)})
+    return f"{summary.count} even N <= {stop}, max I = {summary.max_i} at N = {summary.n_at_max_i}"
 
 
-def check_goldbach_areas(samples: int, seed: int = 501) -> CheckResult:
+def check_goldbach_areas(samples: int, seed: int = 501) -> str:
     rng = random.Random(seed)
     flags = sieve_flags(10_000)
     primes = [p for p in range(3, 10_000, 2) if flags[p]]
-    ok = True
     for _ in range(samples):
         p, q = rng.sample(primes, 2)
         p, q = max(p, q), min(p, q)
         parab = goldbach.witness_parabola(p, q)
         pair = solve(parab.quadratic)
-        ok = ok and {pair.r1.as_fraction(), pair.r2.as_fraction()} == {p, q}
+        _expect({pair.r1.as_fraction(), pair.r2.as_fraction()} == {p, q}, p, q)
         v = vertex(parab.quadratic)
-        ok = ok and (v.h, v.k) == (parab.vertex_x, parab.vertex_y)
-        ok = ok and parab.quadratic(parab.vertex_x) == -Fraction(p - q, 2) ** 2  # -I^2
+        _expect((v.h, v.k) == (parab.vertex_x, parab.vertex_y), p, q)
+        _expect(parab.quadratic(parab.vertex_x) == -Fraction(p - q, 2) ** 2, p, q)  # -I^2
         report = goldbach.witness_areas(p, q)
         i3 = Fraction(report.I) ** 3
-        ok = ok and report.parabola_area == Fraction(4, 3) * i3
-        ok = ok and report.rectangle_area == 2 * i3
-        ok = ok and report.triangle_area == i3
-        ok = ok and report.rectangle_area / report.parabola_area == Fraction(3, 2)
-        ok = ok and report.rectangle_area / report.triangle_area == 2
-        ok = ok and report.parabola_area / report.triangle_area == Fraction(4, 3)
+        _expect(report.parabola_area == Fraction(4, 3) * i3, p, q)
+        _expect(report.rectangle_area == 2 * i3 and report.triangle_area == i3, p, q)
+        _expect(report.rectangle_area / report.parabola_area == Fraction(3, 2), p, q)
+        _expect(report.rectangle_area / report.triangle_area == 2, p, q)
+        _expect(report.parabola_area / report.triangle_area == Fraction(4, 3), p, q)
         # integral of (x - p)(x - q) over [0, q]: F(q) - F(0) with F(0) = 0
-        ok = ok and report.leading_segment == Fraction(q**3, 3) - Fraction((p + q) * q * q, 2) + p * q * q
-    ok = ok and goldbach.hypotenuse_number(6, 5, 1) == (169, goldbach.HypClass.PRIME_SQUARE)
-    ok = ok and goldbach.hypotenuse_number(6, 7, 1) == (193, goldbach.HypClass.PRIME)
-    return CheckResult("goldbach", "area-identities", ok, f"{samples} random witness pairs")
+        segment = Fraction(q**3, 3) - Fraction((p + q) * q * q, 2) + p * q * q
+        _expect(report.leading_segment == segment, p, q)
+    _expect(goldbach.hypotenuse_number(6, 5, 1) == (169, goldbach.HypClass.PRIME_SQUARE))
+    _expect(goldbach.hypotenuse_number(6, 7, 1) == (193, goldbach.HypClass.PRIME))
+    return f"{samples} random witness pairs"
 
 
-def check_hypotenuse_identity(samples: int, seed: int = 502) -> CheckResult:
-    from math import gcd
-
+def check_hypotenuse_identity(samples: int, seed: int = 502) -> str:
     rng = random.Random(seed)
-    ok = True
     done = 0
     while done < samples:
         n = rng.randint(1, 400)
         i = rng.randint(1, 2 * n - 1)
-        if gcd(2 * n, i) != 1:
+        if math.gcd(2 * n, i) != 1:
             continue
         l = rng.choice((1, 2, 3))
         h, _ = goldbach.hypotenuse_number(n, i, l)
         p, q = 2 * n + i, 2 * n - i
-        ok = ok and (p + q) ** (2 * l) + (p - q) ** (2 * l) == h * 2 ** (2 * l)
+        _expect((p + q) ** (2 * l) + (p - q) ** (2 * l) == h * 2 ** (2 * l), n, i, l)
         done += 1
-    return CheckResult("goldbach", "hypotenuse-quotient", ok, f"{samples} coprime pairs, l in 1..3")
+    return f"{samples} coprime pairs, l in 1..3"
 
 
-def check_parity_lemma(limit: int = 99) -> CheckResult:
-    ok = True
+def check_parity_lemma(limit: int = 99) -> str:
     for p in range(1, limit + 1, 2):
         for q in range(1, p + 1, 2):
             mp, ip = goldbach.parity_lemma(p, q)
-            ok = ok and mp != ip
             # each odd number is 4k+1 or 4v-1: mixed classes make M = 2(k+v)
             # even, matching classes make I = 2(k-v) even
-            ok = ok and (mp == "even") == (p % 4 != q % 4)
-    return CheckResult("goldbach", "parity-lemma", ok, f"all odd pairs <= {limit}")
+            _expect(mp != ip and (mp == "even") == (p % 4 != q % 4), p, q)
+    return f"all odd pairs <= {limit}"
 
 
 # ---------------------------------------------------------------- pnum / geometry
 
 
-def check_pnum(limit: int = 20_000) -> CheckResult:
-    ok = True
+def check_pnum(limit: int = 20_000) -> str:
     for n in range(1, limit):
-        root = pnum.digital_root(n)
-        ok = ok and root == (9 if n % 9 == 0 else n % 9)
+        _expect(pnum.digital_root(n) == (9 if n % 9 == 0 else n % 9), n)
     for n in (1, 7, 1234, 120, 888, 10**12):
         # association is idempotent on its image
-        ok = ok and pnum.associate(pnum.pnum_value(pnum.associate(n))) == pnum.associate(n)
+        _expect(pnum.associate(pnum.pnum_value(pnum.associate(n))) == pnum.associate(n), n)
     for digit in range(1, 10):
         for reps in range(1, 4):
-            pn = pnum.PNumber(digit, reps)
-            plus, minus = pnum.pnum_parabola(pn)
-            pair = solve(plus)
-            ok = ok and {pair.r1.as_fraction(), pair.r2.as_fraction()} == {
-                Fraction(digit),
-                Fraction(reps),
-            }
-            mirror = solve(minus)
-            ok = ok and {mirror.r1.as_fraction(), mirror.r2.as_fraction()} == {
-                Fraction(-digit),
-                Fraction(-reps),
-            }
-    return CheckResult("pnum", "digital-root-and-parabolas", ok, f"digital roots to {limit}")
+            plus, minus = pnum.pnum_parabola(pnum.PNumber(digit, reps))
+            pair, mirror = solve(plus), solve(minus)
+            _expect({pair.r1.as_fraction(), pair.r2.as_fraction()} == {digit, reps}, digit, reps)
+            _expect({mirror.r1.as_fraction(), mirror.r2.as_fraction()} == {-digit, -reps}, digit, reps)
+    return f"digital roots to {limit}"
 
 
-def check_geometry() -> CheckResult:
-    ok = True
+def check_geometry() -> str:
     for solid in geometry.PlatonicSolid:
         row1 = geometry.platonic(solid, 1)
         row3 = geometry.platonic(solid, 3)
-        ok = ok and row3.volume.squared() == 3**6 * row1.volume.squared()
-        ok = ok and row3.total_area.squared() == 3**4 * row1.total_area.squared()
+        _expect(row3.volume.squared() == 3**6 * row1.volume.squared(), solid)
+        _expect(row3.total_area.squared() == 3**4 * row1.total_area.squared(), solid)
         # V = A * apothem / 3, exactly and in floating point
         third = row1.total_area.times(row1.apothem).scaled(Fraction(1, 3))
-        ok = ok and third.equals(row1.volume)
+        _expect(third.equals(row1.volume), solid)
         volume = float(row1.volume)
-        ok = ok and abs(float(third) - volume) <= 1e-12 * max(1.0, volume)
+        _expect(abs(float(third) - volume) <= 1e-12 * max(1.0, volume), solid)
     a, b = geometry.golden_cut(1)
-    ok = ok and a * a == b * (a + b) and a / b == fibgroup.PHI
+    _expect(a * a == b * (a + b) and a / b == fibgroup.PHI, a, b)
     traj = geometry.trajectory(10.0, 0.785398163, 9.8)
-    ok = ok and abs(traj.range_x - 10.204081632653061) < 1e-6
-    ok = ok and abs(traj.range_x - 2 * traj.apex_x) <= 1e-9 * max(1.0, abs(traj.range_x))
-    return CheckResult("geometry", "platonic-goldencut-trajectory", ok, "5 solids, scale law")
+    _expect(abs(traj.range_x - 10.204081632653061) < 1e-6, traj.range_x)
+    _expect(abs(traj.range_x - 2 * traj.apex_x) <= 1e-9 * max(1.0, abs(traj.range_x)), traj.apex_x)
+    return "5 solids, scale law"
 
 
 # ---------------------------------------------------------------- harness
 
 
-def _raised(check: Callable[[], CheckResult], exc: Exception) -> CheckResult:
-    """The failing result of a check that raised instead of returning one."""
-    name = getattr(getattr(check, "func", check), "__name__", repr(check))
-    frame = traceback.extract_tb(exc.__traceback__)[-1]
-    where = f"{Path(frame.filename).name}:{frame.lineno}"
-    return CheckResult("verify", name, False, f"{name} raised {type(exc).__name__}: {exc} (at {where})")
+def _failure(exc: Exception) -> str:
+    """The exception and the line of this file where the check stopped."""
+    stack = traceback.extract_tb(exc.__traceback__)[1:]  # [0] is run_all's call of the check
+    here = [frame for frame in stack if frame.filename == __file__ and frame.name != "_expect"]
+    frame = (here or stack)[-1]
+    return f"{type(exc).__name__}: {exc} (at {Path(frame.filename).name}:{frame.lineno})"
 
 
-def run_all(
-    scale: str = "quick",
-    extra_checks: Iterable[Callable[[], CheckResult]] = (),
-) -> list[CheckResult]:
+def run_all(scale: str = "quick") -> list[CheckResult]:
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}")
     full = scale == "full"
-    checks: list[Callable[[], CheckResult]] = [
-        partial(check_field_axioms, 10_000 if full else 300),
-        check_text_round_trip,
-        partial(check_vieta_substitution, 2000 if full else 200),
-        partial(check_shift_companion, 10_000 if full else 500),
-        check_pq_specializations,
-        partial(check_power_reduction, 90),
-        partial(check_telescoping, 90),
-        partial(check_partial_sums, 200 if full else 30),
-        check_unit_groups,
-        check_metallic_table,
-        partial(check_phi_ledger, 90 if full else 30),
-        check_integer_root_family,
-        check_creation_and_trig,
-        partial(check_sqrt_mod_exhaustive, 2000 if full else 200),
-        partial(check_quad_mod_random, 1000 if full else 150),
-        partial(check_four_t_plus_one, 100_000 if full else 10_000),
-        check_legendre_multiplicative,
-        check_perfect_table,
-        partial(check_perfect_records, 19 if full else 13),
-        partial(check_parity_contracts, 10_000 if full else 1000),
-        check_x1_forms,
-        partial(check_difference_identity, 10_000 if full else 500),
-        check_areas_and_constants,
-        partial(check_h_never_perfect, 1_000_000 if full else 10_000),
-        partial(check_goldbach_range, 1_000_000 if full else 10_000),
-        partial(check_goldbach_areas, 1000 if full else 100),
-        partial(check_hypotenuse_identity, 1000 if full else 100),
-        check_parity_lemma,
-        partial(check_pnum, 20_000 if full else 2000),
-        check_geometry,
+    checks = [
+        ("qfield", "field-axioms", partial(check_field_axioms, 10_000 if full else 300)),
+        ("qfield", "text-json-round-trip", check_text_round_trip),
+        ("solver", "vieta-substitution-vertex", partial(check_vieta_substitution, 2000 if full else 200)),
+        ("solver", "shift-companion", partial(check_shift_companion, 10_000 if full else 500)),
+        ("solver", "p=q-specializations", check_pq_specializations),
+        ("fibgroup", "power-reduction", partial(check_power_reduction, 90)),
+        ("fibgroup", "telescoping-sum", partial(check_telescoping, 90)),
+        ("fibgroup", "partial-sums", partial(check_partial_sums, 200 if full else 30)),
+        ("fibgroup", "unit-groups", check_unit_groups),
+        ("metallic", "table", check_metallic_table),
+        ("metallic", "phi-ledger", partial(check_phi_ledger, 90 if full else 30)),
+        ("metallic", "integer-root-family", check_integer_root_family),
+        ("metallic", "creation-trig", check_creation_and_trig),
+        ("congruence", "sqrt-mod-vs-brute-force", partial(check_sqrt_mod_exhaustive, 2000 if full else 200)),
+        ("congruence", "quad-mod-vs-brute-force", partial(check_quad_mod_random, 1000 if full else 150)),
+        ("congruence", "4t+1-criterion-two-squares", partial(check_four_t_plus_one, 10**5 if full else 10**4)),
+        ("congruence", "legendre-multiplicativity", check_legendre_multiplicative),
+        ("perfect", "table-reproduction", check_perfect_table),
+        ("perfect", "lucas-lehmer-vs-divisor-sum", partial(check_perfect_records, 19 if full else 13)),
+        ("perfect", "parity-contracts", partial(check_parity_contracts, 10_000 if full else 1000)),
+        ("perfect", "x1-closed-forms", check_x1_forms),
+        ("perfect", "difference-identity", partial(check_difference_identity, 10_000 if full else 500)),
+        ("perfect", "areas-and-constants", check_areas_and_constants),
+        ("perfect", "h-never-perfect", partial(check_h_never_perfect, 1_000_000 if full else 10_000)),
+        ("goldbach", "witness-range", partial(check_goldbach_range, 1_000_000 if full else 10_000)),
+        ("goldbach", "area-identities", partial(check_goldbach_areas, 1000 if full else 100)),
+        ("goldbach", "hypotenuse-quotient", partial(check_hypotenuse_identity, 1000 if full else 100)),
+        ("goldbach", "parity-lemma", check_parity_lemma),
+        ("pnum", "digital-root-and-parabolas", partial(check_pnum, 20_000 if full else 2000)),
+        ("geometry", "platonic-goldencut-trajectory", check_geometry),
     ]
-    checks.extend(extra_checks)
     results = []
-    for check in checks:
+    for module, name, check in checks:
         start = time.perf_counter()
         try:
-            result = check()
-        except Exception as exc:  # a check that raises is a failure, not the end of the run
-            result = _raised(check, exc)
-        results.append(replace(result, elapsed=time.perf_counter() - start))
+            detail, ok = check(), True
+        except Exception as exc:  # a failing check is one FAIL result, not the end of the run
+            detail, ok = _failure(exc), False
+        results.append(CheckResult(module, name, ok, detail, time.perf_counter() - start))
     return results

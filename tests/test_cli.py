@@ -405,6 +405,15 @@ class TestOtherCommands:
         assert code == 1 and out == ""
         assert envelope["type"] == "InputTooLarge" and f"<= {10**5}" in envelope["message"]
 
+    @pytest.mark.parametrize("argv", [["nan", "0.785398"], ["10", "0.785398", "1e-320"], ["1e200", "0.785398"]])
+    def test_geom_trajectory_refuses_non_finite(self, capsys, argv):
+        code, out, err = run(capsys, "geom", "trajectory", *argv)
+        assert code == 1 and out == "" and "error: v0 = " in err and "non-finite" in err
+        code, out, err = run(capsys, "geom", "trajectory", *argv, "--json")
+        envelope = json.loads(err)["error"]
+        assert code == 1 and out == ""
+        assert envelope["type"] == "NonFiniteTrajectory" and f"beta = {float(argv[1])}" in envelope["message"]
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_geom_trajectory_needs_a_sample(self, capsys, samples):
         code, out, err = run(capsys, "geom", "trajectory", "10", "0.5", "--samples", samples)
@@ -458,25 +467,27 @@ class TestVerifyCommand:
         assert len(results) == 30
         assert all(isinstance(r["elapsed"], float) and r["elapsed"] >= 0 for r in results)
 
-    def test_fault_injection_fails(self, capsys):
+    def test_fault_injection_fails(self, monkeypatch):
         """The harness itself must report failure when a check fails."""
-        from quadratica.verify import CheckResult, run_all
+        from quadratica import verify
 
-        results = run_all("quick", extra_checks=[lambda: CheckResult("self", "fault", False, "injected")])
-        assert any(not r.ok for r in results)
+        monkeypatch.setattr(verify, "check_unit_groups", lambda: verify._expect(False))
+        results = verify.run_all("quick")
+        assert [(r.module, r.name) for r in results if not r.ok] == [("fibgroup", "unit-groups")]
 
-    def test_raising_check_becomes_a_failure(self):
-        from quadratica.verify import run_all
+    def test_raising_check_becomes_a_failure(self, monkeypatch):
+        from quadratica import verify
 
         def broken_check():
             raise AssertionError("injected")
 
-        results = run_all("quick", extra_checks=[broken_check])
-        assert len(results) == 31
+        monkeypatch.setattr(verify, "check_geometry", broken_check)
+        results = verify.run_all("quick")
+        assert len(results) == 30
         assert all(r.ok for r in results[:-1])
         last = results[-1]
-        assert not last.ok and last.name == "broken_check"
-        assert last.detail.startswith("broken_check raised AssertionError: injected")
+        assert not last.ok and (last.module, last.name) == ("geometry", "platonic-goldencut-trajectory")
+        assert last.detail.startswith("AssertionError: injected (at test_cli.py:")
 
     def test_raising_check_reports_without_traceback(self, capsys, monkeypatch):
         from quadratica import cli
@@ -487,14 +498,52 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli.verify, "check_geometry", check_geometry)
         code, out, err = run(capsys, "verify")
         assert code == 1 and "Traceback" not in err
-        assert "FAIL  verify.check_geometry  (check_geometry raised AssertionError: injected" in out
+        assert "FAIL  geometry.platonic-goldencut-trajectory  (AssertionError: injected (at test_cli.py:" in out
         assert "total: 29/30 checks passed" in out
+
+    def test_failure_names_check_line_and_operands(self, capsys, monkeypatch):
+        """A broken sampled identity is reported under its own check, at its line, with its operands."""
+        from quadratica import solver, verify
+
+        drawn = []
+
+        def four_family(p, q):  # member (b) becomes x^2 - px - q
+            drawn.append((p, q))
+            wrong = solver.Quadratic(1, -p, -q)
+            return tuple(
+                solver.FamilyEquation("b", wrong, solver.solve(wrong)) if member.label == "b" else member
+                for member in solver.four_family(p, q)
+            )
+
+        monkeypatch.setattr(verify, "four_family", four_family)
+        code, out, _ = run(capsys, "verify", "--json")
+        failed = [r for r in json.loads(out)["results"] if not r["ok"]]
+        source = Path(verify.__file__).read_text().splitlines()
+        line = next(number for number, text in enumerate(source, 1) if "family[neg]" in text)
+        p, q = drawn[0]
+        assert code == 1 and len(failed) == 1
+        assert (failed[0]["module"], failed[0]["name"]) == ("solver", "vieta-substitution-vertex")
+        assert failed[0]["detail"] == f"CheckFailed: does not hold for {p}, {q} (at verify.py:{line})"
+
+    def test_failure_reported_under_optimize(self):
+        """`python -O` strips `assert`; a broken identity must still FAIL."""
+        script = (
+            "from quadratica import cli, metallic\n"
+            "metallic.creation_equation = lambda m: 0\n"
+            "raise SystemExit(cli.main(['verify']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env(), timeout=120
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "FAIL  metallic.creation-trig  (CheckFailed: does not hold for 2 (at verify.py:" in proc.stdout
+        assert "total: 29/30 checks passed" in proc.stdout
 
     def test_witness_range_detail_has_no_wall_time(self):
         from quadratica.verify import check_goldbach_range
 
         first, second = check_goldbach_range(10_000), check_goldbach_range(10_000)
-        assert first.detail == second.detail == "4999 even N <= 10000, max I = 228 at N = 7102"
+        assert first == second == "4999 even N <= 10000, max I = 228 at N = 7102"
 
     def test_fault_injection_exit_code(self, capsys, monkeypatch):
         from quadratica import cli

@@ -1,7 +1,11 @@
 """Quadratic congruences: Legendre, modular square roots, two squares."""
 
+import os
 import random
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -185,6 +189,35 @@ class TestTwoSquares:
         )
         with pytest.raises(CompositeModulus, match="leaves 20"):
             two_squares(45)
+
+
+class TestCompositePassedAsPrime:
+    """A composite that is_prime passed (as a pseudoprime above psi_13 would be)."""
+
+    def test_refused_in_a_child_not_hung(self):
+        # at 21, Euler's criterion gives 2^10 = 16 and 4^10 = 4 (mod 21), neither 0 nor +-1;
+        # two_squares(21) used to search for a non-residue forever
+        script = (
+            "from quadratica import congruence\n"
+            "from quadratica.errors import CompositeModulus\n"
+            "congruence.is_prime = lambda n: True\n"
+            "for call, args in ((congruence.two_squares, (21,)), (congruence.sqrt_mod, (4, 21))):\n"
+            "    try:\n"
+            "        raise SystemExit(f'{call.__name__}{args} returned {call(*args)}')\n"
+            "    except CompositeModulus:\n"
+            "        pass\n"
+        )
+        src = str(Path(congruence.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_tonelli_shanks_order_bound(self, monkeypatch):
+        # 3277 = 29 * 113: 7 passes Euler's criterion and 2 is a "non-residue", but
+        # the squaring loop finds an order no prime modulus allows
+        monkeypatch.setattr(congruence, "is_prime", lambda n: True)
+        with pytest.raises(CompositeModulus, match="3277 is not prime"):
+            sqrt_mod(7, 3277)
 
 
 class TestModulusCheckedOnce:

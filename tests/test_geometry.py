@@ -1,11 +1,12 @@
 """Golden cut, Platonic radical tables, projectile trajectory."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from quadratica.errors import InvalidAngle, NonPositiveLength
+from quadratica.errors import InvalidAngle, NonFiniteTrajectory, NonPositiveLength
 from quadratica.geometry import (
     PlatonicSolid,
     RadicalExpr,
@@ -176,3 +177,19 @@ class TestTrajectory:
     def test_bad_speed(self):
         with pytest.raises(ValueError):
             trajectory(-1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "v0, beta, g",
+        [
+            (math.nan, 0.785398, 9.8),  # every value NaN
+            (10.0, 0.785398, math.nan),
+            (math.inf, 0.785398, 9.8),
+            (10.0, 0.785398, math.inf),
+            (10.0, 0.785398, 1e-320),  # a underflows: apex at infinity
+            (1e200, 0.785398, 9.8),  # v0^2 overflows: a = -0.0
+            (1e-200, 0.785398, 9.8),  # v0^2 underflows: a = -g/0
+        ],
+    )
+    def test_non_finite_refused(self, v0, beta, g):
+        with pytest.raises(NonFiniteTrajectory, match=re.escape(f"v0 = {v0}, beta = {beta}, g = {g} ")):
+            trajectory(v0, beta, g)
