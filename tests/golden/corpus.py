@@ -79,6 +79,8 @@ fib sum --case I --n 10
 fib sum --case II --n 10
 fib sum --case III --n 10
 fib sum --case IV --n 10
+fib sum --case I --n 0
+fib sum --case III --n -4
 fib group --case IV
 metallic classify 13
 metallic classify 11
@@ -118,6 +120,10 @@ solve 1 2 1
 solve 1 -1 -1 --out out.txt
 metallic table --max-p 4 --out out.txt
 fib value 30000
+fib sum --case I --n 20574
+fib sum --case II --n 20577
+fib sum --case III --n 1000000
+fib sum --case IV --n 1000000
 metallic ledger --n 30000
 perfect table --max-exp 2001
 perfect plot --from 0 --to 100001/100 --step 1/100
