@@ -168,11 +168,6 @@ def _check_printable(what: str, n: int, largest: Callable[[int], int]) -> None:
         raise InputTooLarge(f"{what} must be <= {cap}, the last whose integers have <= {digits} digits; got {n}")
 
 
-# partial_power_sum takes one field multiplication and addition per term:
-# 10^6 terms take ~2.5 s in Case III or IV, and the time grows linearly.
-_FIB_SUM_MAX_N = 10**6
-
-
 def _power_sum_largest(case: fibgroup.Case, n: int) -> int:
     a, b = fibgroup.closed_power_sum(case, n).coords()
     return max(abs(a.numerator), a.denominator, abs(b.numerator), b.denominator)
@@ -194,13 +189,10 @@ def _cmd_fib(args, cfg: OutputConfig) -> Output:
         )
     if args.action == "sum":
         case = fibgroup.Case(args.case)
+        # x is a sixth or a cube root of unity in Cases III and IV, so only I and II grow
         if case in (fibgroup.Case.I, fibgroup.Case.II):
             _check_printable(f"fib sum --case {args.case} --n", args.n, lambda n: _power_sum_largest(case, n))
-        elif args.n > _FIB_SUM_MAX_N:
-            # x is a sixth or a cube root of unity in Cases III and IV, so those sums stay
-            # small, but partial_power_sum still takes one step per term
-            raise InputTooLarge(f"fib sum --case {args.case} --n must be <= {_FIB_SUM_MAX_N}, got {args.n}")
-        total = fibgroup.partial_power_sum(case, args.n)
+        total = fibgroup.closed_power_sum(case, args.n)
         return Output([f"sum_{{k=1}}^{args.n} x^k = {total}"], {"case": args.case, "n": args.n, "sum": total})
     if args.action == "group":
         group = fibgroup.unit_group(fibgroup.Case(args.case))

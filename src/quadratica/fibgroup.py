@@ -66,25 +66,22 @@ PHI = case_root(Case.I)
 PHI_BAR = PHI.conj()
 
 
-def fib(n: int) -> int:
-    """Fibonacci numbers with seeds f0 = f1 = 1: 1, 1, 2, 3, 5, 8, 13, ..."""
-    if n < 0:
-        raise NegativeIndex(f"fib index must be >= 0, got {n}")
-    # fib(n) is the zero-based F(n+1); fast doubling walks the bits of n+1
-    # with (F(k), F(k+1)) -> (F(2k), F(2k+1)) = (F(k)(2F(k+1) - F(k)), F(k)^2 + F(k+1)^2)
+def _fib_pair(k: int) -> tuple[int, int]:
+    """Zero-based (F(k), F(k+1)), F(0) = 0, for k >= 0, by fast doubling over the bits of k."""
+    # (F(j), F(j+1)) -> (F(2j), F(2j+1)) = (F(j)(2F(j+1) - F(j)), F(j)^2 + F(j+1)^2)
     a, b = 0, 1
-    for bit in bin(n + 1)[2:]:
+    for bit in bin(k)[2:]:
         a, b = a * (2 * b - a), a * a + b * b
         if bit == "1":
             a, b = b, a + b
-    return a
+    return a, b
 
 
-def _fib_std(n: int) -> int:
-    """Zero-based variant F(0)=0, F(1)=1 used by the power-reduction identities."""
-    if n == 0:
-        return 0
-    return fib(n - 1)
+def fib(n: int) -> int:
+    """Fibonacci numbers with seeds f0 = f1 = 1: 1, 1, 2, 3, 5, 8, 13, ...; fib(n) = F(n+1)."""
+    if n < 0:
+        raise NegativeIndex(f"fib index must be >= 0, got {n}")
+    return _fib_pair(n)[1]
 
 
 @dataclass(frozen=True)
@@ -108,8 +105,7 @@ def power_reduce(case: Case, n: int) -> FibPair:
         raise NegativeIndex(f"power index must be >= 1, got {n}")
     if case not in (Case.I, Case.II):
         raise ValueError("power reduction applies to Cases I and II only")
-    f_n = _fib_std(n)
-    f_n1 = _fib_std(n - 1)
+    f_n1, f_n = _fib_pair(n - 1)
     if case is Case.I:
         return FibPair(f_n, f_n1)
     sign = 1 if n % 2 else -1
@@ -117,7 +113,7 @@ def power_reduce(case: Case, n: int) -> FibPair:
 
 
 def partial_power_sum(case: Case, n: int) -> QuadElem:
-    """Sum_{k=1}^{n} x^k for the case's + root, by exact accumulation."""
+    """Sum_{k=1}^{n} x^k for the case's + root by exact accumulation, verify's oracle for closed_power_sum."""
     case = Case(case)
     if n < 1:
         raise NegativeIndex(f"sum bound must be >= 1, got {n}")
@@ -139,6 +135,8 @@ def closed_power_sum(case: Case, n: int, x: QuadElem | None = None) -> QuadElem:
     Case IV:  x * (x^n - 1) / (x - 1)
     """
     case = Case(case)
+    if n < 1:
+        raise NegativeIndex(f"sum bound must be >= 1, got {n}")
     if x is None:
         x = case_root(case)
     if case is Case.I:
@@ -229,36 +227,26 @@ def geometric_sum_check(x, n: int) -> bool:
     return total == x * (x**n - 1) / (x - 1)
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float = 1e-15) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        fmid = f(mid)
-        if abs(hi - lo) < tol:
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+# the plastic number, the real root of x^3 = x + 1, by Cardano (math.cbrt needs Python 3.11)
+_PLASTIC = ((9 + 69**0.5) / 18) ** (1 / 3) + ((9 - 69**0.5) / 18) ** (1 / 3)
 
 
 def cubic_root_sum_check(n: int, variant: str = "plus", tol: float = 1e-10) -> tuple[float, float, bool]:
     """Degree-3 analogue of the unit-coefficient sums, checked numerically.
 
-    variant 'plus': real root of x^3 = x + 1 (~1.3247, bisection on [1, 2]).
+    variant 'plus': the plastic number rho ~ 1.3247 (Cardano), the real root of x^3 = x + 1.
         x^3 - x = 1 factors as (x - 1)*x*(x + 1) = 1 and x + 1 = x^3, so
         1/(x - 1) = x^4 and the geometric sum collapses to x^5 * (x^n - 1).
-    variant 'minus': real root of x^3 = x - 1 (~-1.3247, bisection on [-2, -1]),
+    variant 'minus': -rho, the real root of x^3 = x - 1,
         where the sum is x^(1-3) * (x^n - 1).
 
     Returns (direct accumulation, rewritten closed form, agreement <= tol).
     """
     if variant == "plus":
-        x = _bisect_root(lambda t: t**3 - t - 1, 1.0, 2.0)
+        x = _PLASTIC
         rewrite = lambda: x**5 * (x**n - 1)
     elif variant == "minus":
-        x = _bisect_root(lambda t: t**3 - t + 1, -2.0, -1.0)
+        x = -_PLASTIC
         rewrite = lambda: x ** (1 - 3) * (x**n - 1)
     else:
         raise ValueError("variant must be 'plus' or 'minus'")

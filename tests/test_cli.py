@@ -16,6 +16,7 @@ import pytest
 import quadratica
 from quadratica import cli, goldbach
 from quadratica.cli import main
+from quadratica.fibgroup import Case, residue_power_sum
 from quadratica.qfield import QuadElem, parse_quad
 
 
@@ -176,9 +177,14 @@ class TestFibCommands:
         assert code == 0 and out.strip().endswith("-1")
 
     @pytest.mark.parametrize("case", ["III", "IV"])
-    def test_root_of_unity_sum_bounded(self, capsys, case):
-        message = refused_at_once(capsys, "fib", "sum", "--case", case, "--n", str(10**6 + 1))
-        assert f"<= {10**6}" in message
+    def test_root_of_unity_sum_has_no_cap(self, capsys, case):
+        # the closed form takes about log2(n) field multiplications
+        n = 10**18
+        start = time.perf_counter()
+        code, out, err = run(capsys, "fib", "sum", "--case", case, "--n", str(n))
+        assert time.perf_counter() - start < 1
+        assert code == 0 and err == ""
+        assert out == f"sum_{{k=1}}^{n} x^k = {residue_power_sum(Case(case), n)}\n"
 
     # the largest n whose output has no integer of more than 640 digits
     @pytest.mark.parametrize(

@@ -105,6 +105,16 @@ class TestPowerReduce:
         assert x**n == pair.coeff * x + pair.const
         assert x.conj() ** n == pair.coeff * x.conj() + pair.const
 
+    @pytest.mark.parametrize("case", [Case.I, Case.II])
+    @pytest.mark.parametrize("n", [1, 2, 3, 20000])
+    def test_against_fib_past_the_hypothesis_range(self, case, n):
+        # zero-based F(n) = fib(n - 1) and F(n - 1) = fib(n - 2), with F(0) = 0
+        f_n, f_prev = fib(n - 1), (fib(n - 2) if n > 1 else 0)
+        want = FibPair(f_n, f_prev) if case is Case.I else FibPair((-1) ** (n + 1) * f_n, (-1) ** n * f_prev)
+        assert power_reduce(case, n) == want
+        x = case_root(case)
+        assert x**n == want.coeff * x + want.const
+
     def test_bad_index(self):
         with pytest.raises(NegativeIndex):
             power_reduce(Case.I, 0)
@@ -134,6 +144,12 @@ class TestPartialSums:
     def test_bad_bound(self):
         with pytest.raises(NegativeIndex):
             partial_power_sum(Case.I, 0)
+
+    @pytest.mark.parametrize("case", list(Case))
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_closed_form_bad_bound(self, case, n):
+        with pytest.raises(NegativeIndex, match=f"sum bound must be >= 1, got {n}"):
+            closed_power_sum(case, n)
 
     @pytest.mark.parametrize("case", list(Case))
     def test_closed_forms_to_200(self, case):
@@ -241,6 +257,14 @@ class TestGeometricSum:
 
     def test_cubic_minus(self):
         assert cubic_root_sum_check(7, "minus")[2]
+
+    def test_plastic_number(self):
+        # at n = 1 the direct sum is the root itself
+        rho = cubic_root_sum_check(1)[0]
+        assert abs(rho**3 - rho - 1) <= 4e-16
+        assert cubic_root_sum_check(1, "minus")[0] == -rho
+        for variant in ("plus", "minus"):
+            assert all(cubic_root_sum_check(n, variant)[2] for n in range(61)), variant
 
     @given(st.integers(min_value=1, max_value=40))
     def test_conjugate_phi(self, n):
