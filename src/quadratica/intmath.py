@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .errors import InputTooLarge
+
 __all__ = [
     "is_square",
     "squarefree_decompose",
@@ -30,12 +32,19 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
+# trial division tries primes up to this bound (~1.5 s when it runs to the end)
+_TRIAL_DIVISION_LIMIT = 10**7
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = s^2 * m with s > 0 and m squarefree (sign of n kept on m).
 
-    Trial division runs only up to the cube root of the unfactored part;
-    what remains then has at most two prime factors, so its square part is
-    either trivial or the whole remainder.
+    Trial division runs up to the cube root of the unfactored part, or to
+    _TRIAL_DIVISION_LIMIT if that comes first. A remainder below the cube of
+    the next candidate has at most two prime factors, so its square part is
+    either trivial or the whole remainder. A larger remainder is decided only
+    if it is a perfect square or a proven prime (below psi_13); any other
+    raises InputTooLarge rather than guess its square part.
     """
     if n == 0:
         raise ValueError("0 has no squarefree decomposition")
@@ -44,10 +53,14 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     root = isqrt(n)
     if root * root == n:
         return root, sign
+    whole = n
     s = 1
     m = 1
     p = 2
-    while p * p * p <= n:
+    # the limit folds into the loop bound, which shrinks with n as factors are found
+    cap = _TRIAL_DIVISION_LIMIT * _TRIAL_DIVISION_LIMIT * _TRIAL_DIVISION_LIMIT
+    bound = n if n < cap else cap
+    while p * p * p <= bound:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -56,12 +69,19 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             s *= p ** (e // 2)
             if e % 2:
                 m *= p
+            if n < bound:
+                bound = n
         p += 1 if p == 2 else 2
-    # remainder is 1, prime, prime^2, or a product of two distinct primes
+    # no prime below p divides the remainder n
     if n > 1:
         r = isqrt(n)
         if r * r == n:
             s *= r
+        elif p * p * p <= n and not (n < _PSI_13 and is_prime(n)):
+            raise InputTooLarge(
+                f"cannot find the square part of {sign * whole}: trial division to {_TRIAL_DIVISION_LIMIT} "
+                f"leaves {n}, neither a square nor a proven prime"
+            )
         else:
             m *= n
     return s, sign * m

@@ -88,6 +88,16 @@ class TestSolveCommand:
         envelope = json.loads(err)
         assert envelope["error"]["type"] == "DegenerateLeadingCoefficient"
 
+    def test_radicand_without_small_factor_refused_in_a_child(self):
+        # 10^30 + 57 has no prime factor below 10^7, so trial division stops at its limit
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadratica", "solve", "1", "0", str(-(10**30 + 57)), "--json"],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        envelope = json.loads(proc.stderr)["error"]
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert envelope["type"] == "InputTooLarge" and str(4 * (10**30 + 57)) in envelope["message"]
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "1", "2"])

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quadratica import intmath
+from quadratica.errors import InputTooLarge
 from quadratica.intmath import (
     is_prime,
     is_square,
@@ -57,6 +59,30 @@ class TestSquarefree:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             squarefree_decompose(0)
+
+
+class TestTrialDivisionLimit:
+    """With the limit at 10, primes up to 10 are tried and 11^3 = 1331 is the next cube."""
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(intmath, "_TRIAL_DIVISION_LIMIT", 10)
+
+    def test_square_remainder(self):
+        # 1009^2 is left over: a perfect square, whatever its factors
+        assert squarefree_decompose(2 * 1009**2) == (1009, 2) == naive_squarefree(2 * 1009**2)
+
+    def test_proven_prime_remainder(self):
+        assert squarefree_decompose(-2 * 1000003) == (1, -2000006) == naive_squarefree(-2 * 1000003)
+
+    def test_composite_remainder_refused(self):
+        # three primes above the limit: the square part cannot be told from a prime test
+        with pytest.raises(InputTooLarge, match=str(3 * 1009 * 1013 * 1019)):
+            squarefree_decompose(3 * 1009 * 1013 * 1019)
+
+    def test_below_the_next_cube_decided(self):
+        # 31 * 37 = 1147 is past 10^3 but below 11^3, so it has at most two prime factors
+        assert squarefree_decompose(31 * 37) == (1, 1147)
 
 
 class TestPrimality:
