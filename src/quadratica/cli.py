@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Any, Callable, Optional
 
 from . import congruence, errata, fibgroup, geometry, goldbach, metallic, perfect, pnum, verify
-from .errors import DomainError, InputTooLarge
+from .errors import DomainError, InputTooLarge, NonPositiveParameter
 from .qfield import parse_quad, qf_arith, qf_conj_norm, qf_coords, qf_make, qf_sqrt_solution, rat_to_dict
 from .solver import (
     Quadratic,
@@ -534,7 +534,7 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
         return Output(lines, {"a": a, "b": b})
     if args.action == "trajectory":
         if args.samples < 1:
-            raise ValueError(f"--samples must be >= 1, got {args.samples}")
+            raise NonPositiveParameter(f"--samples must be >= 1, got {args.samples}")
         if args.samples > _MAX_SAMPLE_STEPS:
             raise InputTooLarge(f"--samples must be <= {_MAX_SAMPLE_STEPS}, got {args.samples}")
         traj = geometry.trajectory(args.v0, args.beta, args.g)

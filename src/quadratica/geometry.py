@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InvalidAngle, NonFiniteTrajectory, NonPositiveLength
+from .errors import InvalidAngle, NonFiniteTrajectory, NonPositiveLength, NonPositiveParameter
 from .qfield import QuadElem, RatLike, rational
 
 __all__ = [
@@ -187,7 +187,7 @@ def trajectory(v0: float, beta: float, g: float = 9.8) -> Trajectory:
     if not 0 < beta < math.pi / 2:
         raise InvalidAngle("angle must be in (0, pi/2)")
     if v0 <= 0 or g <= 0:
-        raise ValueError("speed and gravity must be positive")
+        raise NonPositiveParameter("speed and gravity must be positive")
     den = 2 * v0 * v0 * math.cos(beta) ** 2
     a = -g / den if den else -math.inf  # den is 0 when v0^2 underflows
     b = math.tan(beta)

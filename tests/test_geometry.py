@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadratica.errors import InvalidAngle, NonFiniteTrajectory, NonPositiveLength
+from quadratica.errors import InvalidAngle, NonFiniteTrajectory, NonPositiveLength, NonPositiveParameter
 from quadratica.geometry import (
     PlatonicSolid,
     RadicalExpr,
@@ -175,7 +175,7 @@ class TestTrajectory:
             trajectory(10.0, math.pi / 2)
 
     def test_bad_speed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonPositiveParameter):
             trajectory(-1.0, 0.5)
 
     @pytest.mark.parametrize(
