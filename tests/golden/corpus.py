@@ -128,6 +128,20 @@ metallic ledger --n 30000
 perfect table --max-exp 2001
 perfect plot --from 0 --to 100001/100 --step 1/100
 geom trajectory 10 0.785398 --samples 0
+perfect plot --step 0
+perfect plot --from 1 --to 0
+perfect plot --from 1e200 --to 1e200
+perfect preimage 0
+goldbach witness 5
+goldbach witness 5 --all
+goldbach witness 9999998
+goldbach witness 10000002 --all
+goldbach hypotenuse 2 1 0
+goldbach verify --to 3
+pnum associate 0
+pnum root -1
+pnum parabola 0 1
+pnum parabola 1 0
 --help
 fib
 fib group --case V
