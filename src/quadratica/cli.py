@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Any, Callable, Optional
 
 from . import congruence, errata, fibgroup, geometry, goldbach, metallic, perfect, pnum, verify
-from .errors import DomainError, InputTooLarge, NonPositiveParameter
+from .errors import DomainError, EmptyInterval, InputTooLarge, NonPositiveParameter
 from .qfield import parse_quad, qf_arith, qf_conj_norm, qf_coords, qf_make, qf_sqrt_solution, rat_to_dict
 from .solver import (
     Quadratic,
@@ -358,14 +358,16 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
         start = Fraction(args.start)
         stop = Fraction(args.stop)
         step = Fraction(args.step)
-        if step <= 0 or stop < start:
-            raise ValueError("need step > 0 and stop >= start")
+        if step <= 0:
+            raise NonPositiveParameter("need step > 0 and stop >= start")
+        if stop < start:
+            raise EmptyInterval("need step > 0 and stop >= start")
         steps = (stop - start) // step
         if steps > _MAX_SAMPLE_STEPS:
             raise InputTooLarge(f"perfect plot takes at most {_MAX_SAMPLE_STEPS} steps, got {steps}")
         # the parabola is convex, so its largest value on the plot is at an end
         if max(abs(perfect.parabola(start)), abs(perfect.parabola(start + steps * step))) > sys.float_info.max:
-            raise ValueError("perfect plot values would pass the float range")
+            raise InputTooLarge("perfect plot values would pass the float range")
 
         def samples():
             for k in range(steps + 1):
@@ -389,9 +391,6 @@ _HYPOTENUSE_MAX_BITS = 4096
 def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
     if args.action == "witness":
         if args.all:
-            # above the sieve cap every one of ~N/4 candidates gets a primality test
-            if args.n > goldbach._SIEVE_CAP:
-                raise InputTooLarge(f"witness --all needs N <= {goldbach._SIEVE_CAP}, got {args.n}")
             found = goldbach.witnesses(args.n)
             lines = (f"{w.N} = {w.p} + {w.q}  (I = {w.I})" for w in found)
             data = {

@@ -75,6 +75,10 @@ class EvenInput(DomainError):
     """Both inputs must be odd."""
 
 
+class InvalidTarget(DomainError):
+    """A witness target must be an even N >= 4."""
+
+
 class NoWitnessFound(DomainError):
     """The witness search exhausted I < M: a Goldbach counterexample candidate."""
 
@@ -85,6 +89,11 @@ class InvalidPair(DomainError):
 
 class NotCoprime(DomainError):
     """gcd(2n, I) must be 1."""
+
+
+# p-numbers
+class InvalidDigit(DomainError):
+    """A repdigit's digit must lie in 1..9."""
 
 
 # geometry

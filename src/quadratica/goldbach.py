@@ -8,13 +8,13 @@ The search returns the minimal I; the full witness list is available from
 x^2 - (p+q)x + pq whose vertex sits at (M, -I^2), giving the exact area
 bundle A_s = (4/3)I^3, A_r = 2I^3, A_t = I^3.
 
-Primality below the sieve limit is an array lookup; a single witness
-search above _SIEVE_CAP leaves the sieve alone and tests candidates with
-:func:`quadratica.intmath.is_prime` instead. Range verification holds the
-primes as the bits of one integer P and resolves every N = 2M of the range
-at once: for I = 0, 1, 2, ... the mask (P >> I) & (P << I) marks each M
-with M + I and M - I both prime, and the first I that marks an M is its
-minimal witness.
+One sieve is the prime table. Only the range operations, verify_range and
+witnesses, build it; a single search or pair check reads it and never builds
+it, and past its end calls :func:`quadratica.intmath.is_prime`. Range
+verification holds the primes as the bits of one integer P and resolves
+every N = 2M at once: for I = 0, 1, 2, ... the mask (P >> I) & (P << I)
+marks each M with M + I and M - I both prime, and the first I that marks an
+M is its minimal witness.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
-from .errors import EvenInput, InvalidPair, NonPositiveParameter, NoWitnessFound, NotCoprime
+from .errors import EmptyInterval, EvenInput, InputTooLarge, InvalidPair, InvalidTarget
+from .errors import NonPositiveParameter, NoWitnessFound, NotCoprime
 from .intmath import is_prime, sieve_flags
 from .solver import Quadratic
 
@@ -47,36 +48,9 @@ __all__ = [
     "verify_range",
 ]
 
-_DEFAULT_SIEVE_LIMIT = 1_000_000 + 10_000  # verification ceiling plus buffer
-_SIEVE_CAP = 10_000_000  # largest n a single witness search grows the sieve to (10 MB)
+_SIEVE_CAP = 10_000_000  # largest N witnesses() sieves to (10 MB)
 
-_sieve: bytearray = bytearray()
-
-
-def _ensure_sieve(limit: int) -> bytearray:
-    global _sieve
-    if len(_sieve) <= limit:
-        _sieve = sieve_flags(max(limit, _DEFAULT_SIEVE_LIMIT))
-    return _sieve
-
-
-def _is_prime_cached(n: int) -> bool:
-    if n < len(_sieve):
-        return bool(_sieve[n])
-    return is_prime(n)
-
-
-class _PrimeTestFlags:
-    """Read-only stand-in for the sieve above _SIEVE_CAP: flags[n] runs the primality test on n."""
-
-    __getitem__ = staticmethod(_is_prime_cached)
-
-
-def _witness_flags(n: int):
-    """Primality flags for 0..n: the sieve, grown to n only up to _SIEVE_CAP."""
-    if n < len(_sieve) or n <= _SIEVE_CAP:
-        return _ensure_sieve(n)
-    return _PrimeTestFlags()
+_sieve: bytearray = bytearray()  # _sieve[k] == 1 iff k is prime; built by verify_range and witnesses
 
 
 def parity_lemma(p: int, q: int) -> tuple[str, str]:
@@ -116,40 +90,44 @@ class GoldbachWitness:
             raise InvalidPair(f"N = p + q = (M + I) + (M - I) fails for {self}")
 
 
-def _witness_iter(n: int, flags: bytearray) -> Iterator[GoldbachWitness]:
+def _witness_iter(n: int) -> Iterator[GoldbachWitness]:
+    prime = _sieve.__getitem__ if n < len(_sieve) else is_prime
     m = n // 2
-    if flags[m]:
+    if prime(m):
         yield GoldbachWitness(N=n, M=m, I=0, p=m, q=m)
     start = 1 if m % 2 == 0 else 2
     for i in range(start, m - 1, 2):
-        if flags[m + i] and flags[m - i]:
+        if prime(m + i) and prime(m - i):
             yield GoldbachWitness(N=n, M=m, I=i, p=m + i, q=m - i)
 
 
-def find_witness(n: int, sieve: Optional[bytearray] = None) -> GoldbachWitness:
+def find_witness(n: int) -> GoldbachWitness:
     """Minimal-I witness for even n >= 4.
 
     I = 0 is allowed when M itself is prime (covering n = 4 as 2 + 2, the
     one decomposition that leaves the odd-prime setting); otherwise I runs
     over the parity class opposite M. Exhausting I < M raises
     NoWitnessFound, which would be a Goldbach counterexample and is worth
-    shouting about. Up to _SIEVE_CAP the sieve is grown to n; above it
-    each candidate gets a primality test, so memory stays bounded.
+    shouting about. The search reads the sieve and never builds it: past
+    its end each candidate gets a primality test, so memory stays bounded.
     """
     if n < 4 or n % 2:
-        raise ValueError(f"witness targets are even n >= 4, got {n}")
-    flags = sieve if sieve is not None else _witness_flags(n)
-    for witness in _witness_iter(n, flags):
+        raise InvalidTarget(f"witness targets are even n >= 4, got {n}")
+    for witness in _witness_iter(n):
         return witness
     raise NoWitnessFound(f"no witness below M for N={n}: Goldbach counterexample?")
 
 
-def witnesses(n: int, sieve: Optional[bytearray] = None) -> list[GoldbachWitness]:
-    """Every witness of n in increasing I order."""
+def witnesses(n: int) -> list[GoldbachWitness]:
+    """Every witness of n in increasing I order, from the sieve grown to n <= _SIEVE_CAP."""
+    global _sieve
+    if n > _SIEVE_CAP:
+        raise InputTooLarge(f"witness --all needs N <= {_SIEVE_CAP}, got {n}")
     if n < 4 or n % 2:
-        raise ValueError(f"witness targets are even n >= 4, got {n}")
-    flags = sieve if sieve is not None else _witness_flags(n)
-    return list(_witness_iter(n, flags))
+        raise InvalidTarget(f"witness targets are even n >= 4, got {n}")
+    if len(_sieve) <= n:
+        _sieve = sieve_flags(n)
+    return list(_witness_iter(n))
 
 
 @dataclass(frozen=True)
@@ -161,13 +139,19 @@ class WitnessParabola:
     vertex_y: Fraction
 
 
+def _check_pair(p: int, q: int) -> None:
+    """Raise InvalidPair unless p >= q are odd primes; the sieve decides when it covers p."""
+    prime = _sieve.__getitem__ if p < len(_sieve) else is_prime
+    if p < q or q < 3 or p % 2 == 0 or q % 2 == 0 or not (prime(p) and prime(q)):
+        raise InvalidPair(f"need odd primes p >= q, got ({p}, {q})")
+
+
 def witness_parabola(p: int, q: int) -> WitnessParabola:
     """x^2 - (p+q)x + pq for odd primes p >= q: roots p, q; vertex (M, -I^2).
 
     verify's area-identities checks the roots with solve and the vertex value.
     """
-    if p < q or p % 2 == 0 or q % 2 == 0 or not (is_prime(p) and is_prime(q)):
-        raise InvalidPair(f"need odd primes p >= q, got ({p}, {q})")
+    _check_pair(p, q)
     i = Fraction(p - q, 2)
     quadratic = Quadratic(1, -(p + q), p * q)
     return WitnessParabola(p=p, q=q, quadratic=quadratic, vertex_x=Fraction(p + q, 2), vertex_y=-(i * i))
@@ -195,7 +179,7 @@ def witness_areas(p: int, q: int) -> AreaReport:
     """
     if p <= q:
         raise InvalidPair(f"need p > q, got ({p}, {q})")
-    witness_parabola(p, q)  # validates primality/oddness
+    _check_pair(p, q)
     i = (p - q) // 2
 
     def antiderivative(x: Fraction) -> Fraction:
@@ -229,7 +213,7 @@ def hypotenuse_number(n: int, i: int, l: int = 1) -> tuple[int, HypClass]:
     q = 2n - I.
     """
     if l < 1:
-        raise ValueError("exponent l must be >= 1")
+        raise NonPositiveParameter("exponent l must be >= 1")
     if n < 1:
         raise NonPositiveParameter(f"n must be >= 1, got {n}")
     if gcd(2 * n, i) != 1:
@@ -283,14 +267,16 @@ def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> V
     order. Raises NoWitnessFound, naming the smallest unresolved N, if I
     passes stop/2 with an N left, i.e. never.
     """
+    global _sieve
     if start % 2:
         start += 1
     start = max(start, 4)
     if stop < start:
-        raise ValueError("empty range")
+        raise EmptyInterval("empty range")
     t0 = time.perf_counter()
-    flags = _ensure_sieve(stop)
-    primes = int(flags[: stop + 1].translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
+    if len(_sieve) <= stop:
+        _sieve = sieve_flags(stop)
+    primes = int(_sieve[: stop + 1].translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
     m_lo, m_hi = start // 2, stop // 2
     low_primes = primes & ((2 << m_hi) - 1)  # M - I <= m_hi
     unresolved = ((1 << (m_hi - m_lo + 1)) - 1) << m_lo

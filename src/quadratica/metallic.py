@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonPositiveParameter
+from .errors import NegativeIndex, NonPositiveParameter
 from .fibgroup import PHI, PHI_BAR
 from .qfield import QuadElem, qf_make
 from .solver import Quadratic
@@ -205,7 +205,7 @@ def phi_ledger(n_max: int) -> list[PhiLedgerRow]:
     8*phi + 3 (derived: 8*phi + 5).
     """
     if n_max < 2:
-        raise ValueError("ledger starts at n = 2")
+        raise NegativeIndex("ledger starts at n = 2")
     rows = []
     coeff, const = 1, 1  # phi^2 = phi + 1
     for n in range(2, n_max + 1):

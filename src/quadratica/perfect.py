@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Optional
 
-from .errors import EmptyInterval, ZeroDifference
+from .errors import EmptyInterval, NonPositiveParameter, ZeroDifference
 from .intmath import is_prime
 from .qfield import RatLike, rational
 
@@ -125,7 +125,7 @@ def preimage(value: int) -> Optional[tuple[int, Fraction]]:
     table-reproduction checks the round trip.
     """
     if value < 1:
-        raise ValueError("preimage target must be >= 1")
+        raise NonPositiveParameter("preimage target must be >= 1")
     disc = 1 + 8 * value
     root = isqrt(disc)
     if root * root != disc or (root - 3) % 4 != 0:

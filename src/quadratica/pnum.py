@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidDigit, NegativeIndex, NonPositiveParameter
 from .solver import Quadratic
 
 __all__ = [
@@ -25,9 +26,9 @@ class PNumber:
 
     def __post_init__(self):
         if not 1 <= self.digit <= 9:
-            raise ValueError("digit must be in 1..9")
+            raise InvalidDigit("digit must be in 1..9")
         if self.reps < 1:
-            raise ValueError("need at least one repetition")
+            raise NonPositiveParameter("need at least one repetition")
 
     def __str__(self) -> str:
         return f"{self.digit}x{self.reps}"
@@ -55,7 +56,7 @@ def associate(n: int) -> PNumber:
     to units-digit x 1, with a trailing zero bumped to 1 x 1.
     """
     if n < 1:
-        raise ValueError("association is defined for n >= 1")
+        raise NonPositiveParameter("association is defined for n >= 1")
     rep = as_repdigit(n)
     if rep is not None:
         return rep
@@ -68,7 +69,7 @@ def associate(n: int) -> PNumber:
 def digital_root(n: int) -> int:
     """Iterated digit sum down to a single digit (0 stays 0)."""
     if n < 0:
-        raise ValueError("digital root is defined for n >= 0")
+        raise NegativeIndex("digital root is defined for n >= 0")
     while n >= 10:
         n = sum(int(ch) for ch in str(n))
     return n

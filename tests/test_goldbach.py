@@ -1,14 +1,26 @@
 """Goldbach witnesses, witness parabolas, areas, and hypotenuse numbers."""
 
 import csv
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadratica.errors import EvenInput, InvalidPair, NonPositiveParameter, NoWitnessFound, NotCoprime
+from quadratica import goldbach
+from quadratica.errors import (
+    EvenInput,
+    InvalidPair,
+    InvalidTarget,
+    NonPositiveParameter,
+    NoWitnessFound,
+    NotCoprime,
+)
 from quadratica.goldbach import (
     GoldbachWitness,
     HypClass,
@@ -77,15 +89,17 @@ class TestFindWitness:
         assert (w.I, w.p, w.q) == (0, 13, 13)
 
     def test_rejects_odd_and_small(self):
-        with pytest.raises(ValueError):
-            find_witness(7)
-        with pytest.raises(ValueError):
-            find_witness(2)
+        for n in (7, 2):
+            with pytest.raises(InvalidTarget):
+                find_witness(n)
+            with pytest.raises(InvalidTarget):
+                witnesses(n)
 
-    def test_exhausted_search_raises(self):
+    def test_exhausted_search_raises(self, monkeypatch):
         # a sieve with no primes at all forces the counterexample branch
+        monkeypatch.setattr(goldbach, "_sieve", bytearray(12))
         with pytest.raises(NoWitnessFound):
-            find_witness(10, sieve=bytearray(12))
+            find_witness(10)
 
     @given(st.integers(min_value=2, max_value=5000))
     def test_witness_contract(self, half):
@@ -115,16 +129,55 @@ class TestFindWitness:
             assert all(other.I >= w.I for other in others)
 
     def test_beyond_sieve_cap_leaves_sieve_alone(self):
-        # a sieve up to n would be a terabyte here; candidates are tested one by one
-        from quadratica import goldbach
+        # a single search reads the sieve and never grows it; past its end
+        # (a terabyte at 10^12) candidates are tested one by one
+        for n in (24, 10**6 + 2, 10**12 + 2):
+            before = len(goldbach._sieve)
+            w = find_witness(n)
+            assert len(goldbach._sieve) == before
+            assert w.p + w.q == n and is_prime(w.p) and is_prime(w.q)
+            for i in range(w.I % 2, w.I, 2):
+                assert not (is_prime(w.M + i) and is_prime(w.M - i))
 
-        n = 10**12 + 2
-        before = len(goldbach._sieve)
-        w = find_witness(n)
-        assert len(goldbach._sieve) == before
-        assert w.p + w.q == n and is_prime(w.p) and is_prime(w.q)
-        for i in range(w.I % 2, w.I, 2):
-            assert not (is_prime(w.M + i) and is_prime(w.M - i))
+    def test_covering_sieve_decides_without_primality_tests(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) called with the sieve covering it")
+
+        monkeypatch.setattr(goldbach, "_sieve", sieve_flags(100))
+        monkeypatch.setattr(goldbach, "is_prime", refuse)
+        assert (find_witness(24).p, witness_areas(17, 7).I, witness_parabola(17, 7).vertex_y) == (13, 5, -25)
+        with pytest.raises(InvalidPair):
+            witness_parabola(9, 3)
+        with pytest.raises(InvalidPair):
+            witness_areas(-3, -5)  # negative numbers never index the sieve from its end
+
+    def test_pair_check_past_the_sieve_tests_primality(self, monkeypatch):
+        monkeypatch.setattr(goldbach, "_sieve", bytearray())
+        assert witness_areas(17, 7).I == 5
+        with pytest.raises(InvalidPair):
+            witness_parabola(9, 3)
+
+    def test_fresh_interpreter_refuses_or_searches_without_sieving(self):
+        # witnesses above the cap once ran ~2.5e11 candidate tests; a single
+        # search just past the old growth floor once sieved 10^7 numbers
+        script = (
+            "from quadratica import goldbach\n"
+            "from quadratica.errors import InputTooLarge\n"
+            "try:\n"
+            "    goldbach.witnesses(10**12 + 2)\n"
+            "except InputTooLarge as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+            "w = goldbach.find_witness(9999998)\n"
+            "print(w.p, w.q, len(goldbach._sieve))\n"
+        )
+        src = str(Path(goldbach.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        refusal, witness = proc.stdout.splitlines()
+        assert refusal == f"InputTooLarge witness --all needs N <= {10**7}, got {10**12 + 2}"
+        p, q, sieved = map(int, witness.split())
+        assert p + q == 9999998 and is_prime(p) and is_prime(q) and sieved == 0
 
 
 class TestWitnessParabola:

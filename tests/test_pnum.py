@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quadratica.errors import InvalidDigit, NonPositiveParameter
 from quadratica.pnum import PNumber, as_repdigit, associate, digital_root, pnum_parabola, pnum_value
 from quadratica.solver import Quadratic, solve
 
@@ -24,9 +25,11 @@ class TestValues:
         assert as_repdigit(110) is None
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDigit):
             PNumber(0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDigit):
+            PNumber(10, 1)
+        with pytest.raises(NonPositiveParameter):
             PNumber(3, 0)
 
 
