@@ -158,8 +158,8 @@ class TestFindWitness:
             witness_parabola(9, 3)
 
     def test_fresh_interpreter_refuses_or_searches_without_sieving(self):
-        # witnesses above the cap once ran ~2.5e11 candidate tests; a single
-        # search just past the old growth floor once sieved 10^7 numbers
+        # past the cap witnesses would test ~2.5e11 candidates; a single
+        # search must not sieve the ~10^7 numbers below its target
         script = (
             "from quadratica import goldbach\n"
             "from quadratica.errors import InputTooLarge\n"
