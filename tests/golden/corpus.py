@@ -142,6 +142,16 @@ pnum associate 0
 pnum root -1
 pnum parabola 0 1
 pnum parabola 1 0
+solve x 1 1
+solve 1/0 1 1
+perfect areas x 1
+qfield conj abc
+qfield op add "1 + √x" 2
+qfield op add 1e100000 2
+qfield op pow 1 2
+quad shift 1 3 -3 0.5
+solve -1e5 1 1
+perfect plot --from -1e1 --to -9 --step 1/2
 --help
 fib
 fib group --case V
