@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 domain error or unwritable file (with a
 machine-readable envelope on stderr under --format json), 2 usage error.
+argparse reads every number argument into an int, a Fraction or a QuadElem,
+so handlers call the library directly; a literal that cannot be read, or
+whose written-out digits pass the int-to-str limit, is a usage error.
 Exact values are rendered exactly in JSON ({num, den} rationals, {a, b, m}
 field elements); floats appear only in explicitly numeric fields, formatted
 to --precision significant digits. CSV output uses '.' decimals and comma
@@ -14,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -26,7 +30,7 @@ from typing import Any, Callable, Optional
 
 from . import congruence, errata, fibgroup, geometry, goldbach, metallic, perfect, pnum, verify
 from .errors import DomainError, EmptyInterval, InputTooLarge, NonPositiveParameter
-from .qfield import parse_quad, qf_arith, qf_conj_norm, qf_coords, qf_make, qf_sqrt_solution, rat_to_dict
+from .qfield import parse_quad, qf_make, rat_to_dict
 from .solver import (
     Quadratic,
     disc_derivative_identity,
@@ -94,7 +98,7 @@ def _json(value):
 
 
 def _cmd_solve(args, cfg: OutputConfig) -> Output:
-    q = Quadratic(Fraction(args.a), Fraction(args.b), Fraction(args.c))
+    q = Quadratic(args.a, args.b, args.c)
     pair = solve(q)
     v = vertex(q)
     lines = [
@@ -111,13 +115,13 @@ def _cmd_solve(args, cfg: OutputConfig) -> Output:
 
 def _cmd_solve_extras(args, cfg: OutputConfig) -> Output:
     if args.action == "family":
-        members = four_family(Fraction(args.a), Fraction(args.b))
+        members = four_family(args.a, args.b)
         lines = [f"({m.label}) {m.quadratic} = 0  ->  {m.roots.r1}, {m.roots.r2}" for m in members]
         return Output(lines, {m.label: {"equation": m.quadratic, "roots": m.roots} for m in members})
-    q = Quadratic(Fraction(args.a), Fraction(args.b), Fraction(args.c))
+    q = Quadratic(args.a, args.b, args.c)
     if args.action == "shift":
-        shifted = shift_roots(q, Fraction(args.k))
-        return Output([f"shifted by {args.k}: {shifted} = 0"], {"shifted": shifted, "k": Fraction(args.k)})
+        shifted = shift_roots(q, args.k)
+        return Output([f"shifted by {args.k}: {shifted} = 0"], {"shifted": shifted, "k": args.k})
     if args.action == "derivative":
         report = disc_derivative_identity(q)
         lines = [
@@ -128,27 +132,29 @@ def _cmd_solve_extras(args, cfg: OutputConfig) -> Output:
         ]
         return Output(lines, report)
     if args.action == "ode":
-        mode = ode_classify(Fraction(args.a), Fraction(args.b), Fraction(args.c))
+        mode = ode_classify(args.a, args.b, args.c)
         return Output([f"kind: {mode.kind.value}", f"r1: {mode.r1}", f"r2: {mode.r2}"], mode)
+
+
+_QF_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
 
 def _cmd_qfield(args, cfg: OutputConfig) -> Output:
     if args.action == "make":
-        z = qf_make(Fraction(args.a), Fraction(args.b), args.m)
+        z = qf_make(args.a, args.b, args.m)
         return Output([str(z)], {"element": z})
     if args.action == "op":
-        z, w = parse_quad(args.z), parse_quad(args.w)
-        result = qf_arith(args.operation, z, w)
+        result = _QF_OPS[args.operation](args.z, args.w)
         return Output([str(result)], {"result": result})
     if args.action == "conj":
-        zbar, norm = qf_conj_norm(parse_quad(args.z))
+        zbar, norm = args.z.conj(), args.z.norm()
         return Output([f"conjugate: {zbar}", f"norm: {norm}"], {"conjugate": zbar, "norm": norm})
     if args.action == "coords":
-        a, b = qf_coords(parse_quad(args.z))
+        a, b = args.z.coords()
         return Output([f"({a}, {b})"], {"a": a, "b": b})
     if args.action == "sqrt":
-        plus, minus = qf_sqrt_solution(args.m)
-        return Output([f"+root: {plus}", f"-root: {minus}"], {"plus": plus, "minus": minus})
+        plus = qf_make(0, 1, args.m)
+        return Output([f"+root: {plus}", f"-root: {-plus}"], {"plus": plus, "minus": -plus})
 
 
 def _check_printable(what: str, n: int, largest: Callable[[int], int]) -> None:
@@ -337,7 +343,7 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
         x1, x2 = result
         return Output([f"x1 = {x1}", f"x2 = {x2}"], {"value": args.value, "x1": x1, "x2": x2})
     if args.action == "areas":
-        report = perfect.chord_geometry(Fraction(args.a), Fraction(args.b))
+        report = perfect.chord_geometry(args.a, args.b)
         lines = [
             f"secant: y = {report.slope}x + {report.intercept}",
             f"trapezoid area: {report.trapezoid_area}",
@@ -355,9 +361,7 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
         }
         return Output(lines, data)
     if args.action == "plot":
-        start = Fraction(args.start)
-        stop = Fraction(args.stop)
-        step = Fraction(args.step)
+        start, stop, step = args.start, args.stop, args.step
         if step <= 0:
             raise NonPositiveParameter("need step > 0 and stop >= start")
         if stop < start:
@@ -505,7 +509,7 @@ _SOLID_ALIASES = {
 def _cmd_geom(args, cfg: OutputConfig) -> Output:
     if args.action == "platonic":
         solid = _SOLID_ALIASES[args.solid]
-        row = geometry.platonic(solid, Fraction(args.edge))
+        row = geometry.platonic(solid, args.edge)
         lines = [
             f"{solid.value} with edge {row.edge}:",
             f"face area: {row.face_area} = {cfg.fnum(float(row.face_area))}",
@@ -528,7 +532,7 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
         }
         return Output(lines, data)
     if args.action == "goldencut":
-        a, b = geometry.golden_cut(Fraction(args.length))
+        a, b = geometry.golden_cut(args.length)
         lines = [f"a = {a} = {cfg.fnum(float(a))}", f"b = {b} = {cfg.fnum(float(b))}"]
         return Output(lines, {"a": a, "b": b})
     if args.action == "trajectory":
@@ -586,8 +590,34 @@ def _cmd_verify(args, cfg: OutputConfig) -> Output:
 # ---------------------------------------------------------------- wiring
 
 
+def _literal(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse type that reads a number with parse; a literal it cannot read is a usage error.
+
+    Fraction builds 10**exponent, so a literal such as 1e5000, whose mantissa digits plus |exponent|
+    pass the int-to-str digit limit, is refused first, as int() refuses that many written-out digits.
+    """
+
+    def convert(text: str):
+        mantissa, e, exponent = text.lower().partition("e")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        try:
+            if e and limit and re.fullmatch(r"[-+]?\d+(_\d+)*\s*", exponent):
+                digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent))
+                if digits > limit:
+                    raise InputTooLarge(f"{text} has {digits} digits written out; at most {limit} are allowed")
+            return parse(text)
+        except (DomainError, ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+_rational = _literal(Fraction)
+_field = _literal(parse_quad)
+
+
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that accepts -1/2 and -0.5 as positional values.
+    """ArgumentParser that reads every negative number, such as -1/2, -1e5 or -√5, as a value.
 
     Every level takes the output flags. They default to SUPPRESS, so a subcommand's parser
     keeps a flag given before it, and the root holds the defaults. --json and --csv are
@@ -596,7 +626,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.?\d+$")
+        # no option starts with a digit or √, so -1/2, -.5, -1e5 and -√5 are values, and the type reads them
+        self._negative_number_matcher = re.compile(r"-\.?\d|-√")
         flag = self.add_argument
         flag("--format", choices=_FORMATS, default=argparse.SUPPRESS, help="output format")
         for name in ("json", "csv"):
@@ -617,41 +648,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a*x^2 + b*x + c = 0 exactly")
     p.set_defaults(run=_cmd_solve)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
+    for name in ("a", "b", "c"):
+        p.add_argument(name, type=_rational)
 
     p = sub.add_parser("quad", help="root shifting, derivative identity, damping, four-family")
     p.set_defaults(run=_cmd_solve_extras)
     quad_sub = p.add_subparsers(dest="action", required=True)
-    ps = quad_sub.add_parser("shift")
-    for name in ("a", "b", "c", "k"):
-        ps.add_argument(name)
-    ps = quad_sub.add_parser("derivative")
-    for name in ("a", "b", "c"):
-        ps.add_argument(name)
-    ps = quad_sub.add_parser("ode")
-    for name in ("a", "b", "c"):
-        ps.add_argument(name)
+    for action, names in (("shift", "abck"), ("derivative", "abc"), ("ode", "abc")):
+        ps = quad_sub.add_parser(action)
+        for name in names:
+            ps.add_argument(name, type=_rational)
     ps = quad_sub.add_parser("family")
-    ps.add_argument("a", help="p > 0")
-    ps.add_argument("b", help="q > 0")
+    ps.add_argument("a", type=_rational, help="p > 0")
+    ps.add_argument("b", type=_rational, help="q > 0")
 
     p = sub.add_parser("qfield", help="exact arithmetic in Q(sqrt(m))")
     p.set_defaults(run=_cmd_qfield)
     qf_sub = p.add_subparsers(dest="action", required=True)
     ps = qf_sub.add_parser("make")
-    ps.add_argument("a")
-    ps.add_argument("b")
+    ps.add_argument("a", type=_rational)
+    ps.add_argument("b", type=_rational)
     ps.add_argument("m", type=int)
     ps = qf_sub.add_parser("op")
-    ps.add_argument("operation", choices=("add", "sub", "mul", "div"))
-    ps.add_argument("z")
-    ps.add_argument("w")
-    ps = qf_sub.add_parser("conj")
-    ps.add_argument("z")
-    ps = qf_sub.add_parser("coords")
-    ps.add_argument("z")
+    ps.add_argument("operation", choices=_QF_OPS)
+    ps.add_argument("z", type=_field)
+    ps.add_argument("w", type=_field)
+    for action in ("conj", "coords"):
+        qf_sub.add_parser(action).add_argument("z", type=_field)
     ps = qf_sub.add_parser("sqrt")
     ps.add_argument("m", type=int)
 
@@ -705,12 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps = perf_sub.add_parser("preimage")
     ps.add_argument("value", type=int)
     ps = perf_sub.add_parser("areas")
-    ps.add_argument("a")
-    ps.add_argument("b")
+    ps.add_argument("a", type=_rational)
+    ps.add_argument("b", type=_rational)
     ps = perf_sub.add_parser("plot")
-    ps.add_argument("--from", dest="start", default="-2")
-    ps.add_argument("--to", dest="stop", default="1")
-    ps.add_argument("--step", default="1/100")
+    ps.add_argument("--from", dest="start", type=_rational, default="-2")
+    ps.add_argument("--to", dest="stop", type=_rational, default="1")
+    ps.add_argument("--step", type=_rational, default="1/100")
 
     p = sub.add_parser("goldbach", help="witness search, range verification, witness parabolas")
     p.set_defaults(run=_cmd_goldbach)
@@ -745,9 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
     geom_sub = p.add_subparsers(dest="action", required=True)
     ps = geom_sub.add_parser("platonic")
     ps.add_argument("solid", choices=sorted(_SOLID_ALIASES))
-    ps.add_argument("--edge", default="1")
+    ps.add_argument("--edge", type=_rational, default="1")
     ps = geom_sub.add_parser("goldencut")
-    ps.add_argument("length")
+    ps.add_argument("length", type=_rational)
     ps = geom_sub.add_parser("trajectory")
     ps.add_argument("v0", type=float)
     ps.add_argument("beta", type=float)
@@ -797,7 +820,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (DomainError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (DomainError, ValueError, OSError) as exc:
         if cfg.format == "json":
             envelope = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             print(json.dumps(envelope), file=sys.stderr)

@@ -20,7 +20,7 @@ them is rational; anything else raises
 
 The coordinate map ``a + b*sqrt(m) -> (a, b)`` is an additive bijection onto
 K x K; it is *not* multiplicative (K x K has zero divisors while the field
-does not), which is why :func:`qf_coords` documents itself as additive-only.
+does not), which is why :meth:`QuadElem.coords` documents itself as additive-only.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ __all__ = [
     "QuadElem",
     "rational",
     "qf_make",
-    "qf_arith",
-    "qf_conj_norm",
-    "qf_sqrt_solution",
-    "qf_coords",
     "parse_quad",
     "rat_to_dict",
     "rat_from_dict",
@@ -130,6 +126,11 @@ class QuadElem:
         return Fraction(self._A, self._D)
 
     def coords(self) -> tuple[Fraction, Fraction]:
+        """Coordinates (a, b) of a + b*sqrt(m): an additive bijection onto K x K.
+
+        Additive only: coords of a product are not the componentwise product
+        (K x K has zero divisors), so this is not a ring isomorphism.
+        """
         return (self.a, self.b)
 
     def conj(self) -> "QuadElem":
@@ -351,40 +352,6 @@ def qf_make(a: RatLike, b: RatLike, m: int) -> QuadElem:
     if is_square(m):
         raise PerfectSquareRadicand(f"{m} is a perfect square; sqrt({m}) is already rational")
     return QuadElem(a, b, m)
-
-
-def qf_arith(op: str, z: QuadElem, w: QuadElem) -> QuadElem:
-    """Dispatch {add, sub, mul, div} over operator arithmetic (CLI surface)."""
-    if op == "add":
-        return z + w
-    if op == "sub":
-        return z - w
-    if op == "mul":
-        return z * w
-    if op == "div":
-        return z / w
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def qf_conj_norm(z: QuadElem) -> tuple[QuadElem, Fraction]:
-    """Conjugate a - b*sqrt(m) and the rational norm z * conj(z)."""
-    zbar = z.conj()
-    return zbar, z.norm()
-
-
-def qf_sqrt_solution(m: int) -> tuple[QuadElem, QuadElem]:
-    """The two solutions +/- sqrt(m) of x^2 = m inside Q(sqrt(m))."""
-    root = qf_make(0, 1, m)
-    return root, -root
-
-
-def qf_coords(z: QuadElem) -> tuple[Fraction, Fraction]:
-    """Coordinates (a, b) of z = a + b*sqrt(m): an additive bijection onto K x K.
-
-    Additive only: coords of a product are not the componentwise product
-    (K x K has zero divisors), so this is not a ring isomorphism.
-    """
-    return z.coords()
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import quadratica
-from quadratica import cli, goldbach
+from quadratica import cli, goldbach, intmath
 from quadratica.cli import main
 from quadratica.fibgroup import Case, residue_power_sum
 from quadratica.qfield import QuadElem, parse_quad
@@ -143,6 +143,83 @@ class TestSolveCommand:
         code, out, err = run(capsys, "goldbach", "witness", "24", "--csv")
         assert code == 1 and out == ""
         assert err == "error: this command has no CSV form\n"
+
+
+class TestNumberArguments:
+    """argparse reads every rational and field-element argument; what it cannot read is a usage error."""
+
+    def test_oversized_literals_refused_at_once_in_a_child(self):
+        script = (
+            "import contextlib, io, json, sys, time\n"
+            "from quadratica.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    err = io.StringIO()\n"
+            "    start = time.perf_counter()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            "            code = main(argv + ['--json'])\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "    print(json.dumps([code, time.perf_counter() - start, err.getvalue()]))\n"
+        )
+        argvs = [
+            ["solve", "1e5000", "1", "1"],
+            ["solve", "1e-5000", "1", "1"],
+            ["solve", "1e20000", "1", "1"],
+            ["goldbach", "witness", str(10**300)],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            capture_output=True, text=True, env=child_env(), timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(results) == len(argvs)
+        for argv, (code, elapsed, err) in zip(argvs, results):
+            assert elapsed < 1, argv
+            assert code == 2 or (code == 1 and json.loads(err)["error"]["type"] == "InputTooLarge"), (argv, err)
+
+    def test_exponent_bounded_by_the_digit_limit(self, capsys):
+        # 1e(L-1) has L digits written out and is read; 1e(L) and 1e-(L) have L + 1
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-to-str digit limit")
+        code, out, _ = run(capsys, "qfield", "coords", f"1e{limit - 1}")
+        assert code == 0 and out == f"({10 ** (limit - 1)}, 0)\n"
+        for literal in (f"1e{limit}", f"1e-{limit}"):
+            with pytest.raises(SystemExit) as exc:
+                main(["qfield", "coords", literal])
+            assert exc.value.code == 2
+            assert f"argument z: {literal} has {limit + 1} digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "literal,message",
+        [("x", "Invalid literal for Fraction: 'x'"), ("1/0", "Fraction(1, 0)")],
+    )
+    def test_unreadable_literal_names_its_argument(self, capsys, literal, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", literal, "1", "1", "--json"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument a: {message}" in err and "Traceback" not in err
+
+    def test_undecidable_radicand_is_a_usage_error(self, capsys, monkeypatch):
+        # as in test_intmath's TestTrialDivisionLimit: three primes above the limit
+        monkeypatch.setattr(intmath, "_TRIAL_DIVISION_LIMIT", 10)
+        with pytest.raises(SystemExit) as exc:
+            main(["qfield", "conj", f"1 + √{3 * 1009 * 1013 * 1019}"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "argument z: cannot find the square part" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("literal", ["-1e5", "-2.5E-3", "-.5", "-5.", "-1_000", "-1/2", "-7"])
+    def test_every_negative_rational_is_a_value(self, capsys, literal):
+        code, out, _ = run(capsys, "qfield", "coords", literal)
+        assert code == 0 and out == f"({Fraction(literal)}, 0)\n"
+
+    def test_negative_field_element_is_a_value(self, capsys):
+        code, out, _ = run(capsys, "qfield", "conj", "-√5")
+        assert code == 0 and out == "conjugate: √5\nnorm: -5\n"
 
 
 class TestQfieldCommands:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from quadratica import goldbach
 from quadratica.errors import (
     EvenInput,
+    InputTooLarge,
     InvalidPair,
     InvalidTarget,
     NonPositiveParameter,
@@ -94,6 +95,18 @@ class TestFindWitness:
                 find_witness(n)
             with pytest.raises(InvalidTarget):
                 witnesses(n)
+
+    def test_bit_length_capped_before_any_primality_test(self, monkeypatch):
+        cap = goldbach._WITNESS_MAX_BITS
+        w = find_witness(2 ** (cap - 1) + 2)  # its minimal I = 246 is found in milliseconds
+        assert w.N.bit_length() == cap and is_prime(w.p) and is_prime(w.q)
+
+        def refuse(n):
+            raise AssertionError("is_prime called on a target past the cap")
+
+        monkeypatch.setattr(goldbach, "is_prime", refuse)
+        with pytest.raises(InputTooLarge, match=f"at most {cap} bits, got {cap + 1}"):
+            find_witness(2**cap)
 
     def test_exhausted_search_raises(self, monkeypatch):
         # a sieve with no primes at all forces the counterexample branch

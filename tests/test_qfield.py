@@ -14,11 +14,7 @@ from quadratica.qfield import (
     BigRational,
     QuadElem,
     parse_quad,
-    qf_arith,
-    qf_conj_norm,
-    qf_coords,
     qf_make,
-    qf_sqrt_solution,
 )
 
 PHI = qf_make(Fraction(1, 2), Fraction(1, 2), 5)
@@ -85,19 +81,19 @@ class TestArithmetic:
         assert QuadElem(1, 1, 2) * QuadElem(1, -1, 2) == -1
 
     def test_phi_square(self):
-        assert qf_arith("mul", PHI, PHI) == PHI + 1
+        assert PHI * PHI == PHI + 1
 
     def test_phi_times_conjugate(self):
-        assert qf_arith("mul", PHI, PHI.conj()) == -1
+        assert PHI * PHI.conj() == -1
 
     def test_division(self):
         z = QuadElem(3, 2, 7)
         w = QuadElem(1, -1, 7)
-        assert qf_arith("div", z, w) * w == z
+        assert z / w * w == z
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
-            qf_arith("div", PHI, QuadElem.from_rational(0))
+            PHI / QuadElem.from_rational(0)
 
     def test_mixed_radicands_rejected(self):
         with pytest.raises(MixedRadicands):
@@ -115,63 +111,61 @@ class TestArithmetic:
         assert 1 / QuadElem(0, 1, 5) == QuadElem(0, Fraction(1, 5), 5)
         assert 1 - PHI == PHI.conj()  # phi + conj(phi) = 1
 
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            qf_arith("pow", PHI, PHI)
-
 
 class TestConjNorm:
     def test_phi(self):
-        zbar, norm = qf_conj_norm(PHI)
+        zbar, norm = PHI.conj(), PHI.norm()
         assert zbar == QuadElem(Fraction(1, 2), Fraction(-1, 2), 5)
         assert norm == -1
 
     def test_imaginary_unit(self):
-        zbar, norm = qf_conj_norm(QuadElem(0, 1, -1))
+        i = QuadElem(0, 1, -1)
+        zbar, norm = i.conj(), i.norm()
         assert zbar == QuadElem(0, -1, -1)
         assert norm == 1
 
     def test_general(self):
         # a^2 - m*b^2 cross-checked numerically
         z = QuadElem(3, 2, 7)
-        zbar, norm = qf_conj_norm(z)
+        zbar, norm = z.conj(), z.norm()
         assert norm == 9 - 7 * 4 == -19
         assert math.isclose(float(z) * float(zbar), -19.0, rel_tol=1e-12)
 
 
 class TestSqrtSolution:
+    """qf_make(0, 1, m) and its negative solve x^2 = m inside Q(sqrt(m))."""
+
     def test_five(self):
-        plus, minus = qf_sqrt_solution(5)
-        assert plus**2 == 5 and minus**2 == 5
-        assert plus == -minus
+        plus = qf_make(0, 1, 5)
+        assert plus**2 == 5 and (-plus) ** 2 == 5
+        assert plus != -plus
 
     def test_gaussian(self):
-        j, minus_j = qf_sqrt_solution(-1)
-        assert j**2 == -1 and minus_j**2 == -1
+        j = qf_make(0, 1, -1)
+        assert j**2 == -1 and (-j) ** 2 == -1
 
     def test_perfect_square_rejected(self):
         with pytest.raises(PerfectSquareRadicand):
-            qf_sqrt_solution(4)
+            qf_make(0, 1, 4)
 
     def test_square_factor_still_squares_back(self):
-        plus, _ = qf_sqrt_solution(12)
-        assert plus**2 == 12
+        assert qf_make(0, 1, 12) ** 2 == 12
 
 
 class TestCoords:
     def test_phi(self):
-        assert qf_coords(PHI) == (Fraction(1, 2), Fraction(1, 2))
+        assert PHI.coords() == (Fraction(1, 2), Fraction(1, 2))
 
     @given(elems(5), elems(5))
     def test_additive(self, z, w):
-        az, bz = qf_coords(z)
-        aw, bw = qf_coords(w)
-        assert qf_coords(z + w) == (az + aw, bz + bw)
+        az, bz = z.coords()
+        aw, bw = w.coords()
+        assert (z + w).coords() == (az + aw, bz + bw)
 
     def test_not_multiplicative(self):
         # sqrt(2)^2 = 2 has coords (2, 0); componentwise product gives (0, 1)
         root2 = QuadElem(0, 1, 2)
-        assert qf_coords(root2 * root2) == (2, 0)
+        assert (root2 * root2).coords() == (2, 0)
         assert (0 * 0, 1 * 1) != (2, 0)
 
 
