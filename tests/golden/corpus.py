@@ -36,9 +36,11 @@ FORMATS = ([], ["--json"], ["--csv"])
 MASKS = (
     (re.compile(r"elapsed: \d+\.\d+s"), "elapsed: <masked>s"),
     (re.compile(r'"elapsed_seconds": [0-9.e+-]+'), '"elapsed_seconds": "<masked>"'),
+    (re.compile(r"\[\d+\.\d+ s\]"), "[<masked> s]"),
+    (re.compile(r'"elapsed": [0-9.e+-]+'), '"elapsed": "<masked>"'),
 )
 
-# `verify` is left out: CI runs it, and its per-check times vary.
+# `verify` runs at --scale quick, with its per-check times masked; CI also runs --scale full.
 COMMANDS = """
 solve 1 -1 -1
 quad shift 1 3 -3 1
@@ -157,6 +159,7 @@ fib
 fib group --case V
 solve 1 -1
 --precision 0 solve 1 -1 -1
+verify --scale quick
 """
 
 
