@@ -40,10 +40,6 @@ class InputTooLarge(DomainError):
     """An input whose size maps straight to run time or output size is past its limit."""
 
 
-class UnitRatio(DomainError):
-    """Geometric-sum ratio x = 1 has no closed form."""
-
-
 # congruences
 class CompositeModulus(DomainError):
     """Modulus is not an odd prime."""
@@ -61,11 +57,7 @@ class NotRepresentable(DomainError):
     """No a^2 + b^2 = p decomposition exists (p = 4t + 3)."""
 
 
-# series / areas
-class ZeroDifference(DomainError):
-    """Arithmetic-series square form needs a nonzero common difference."""
-
-
+# areas
 class EmptyInterval(DomainError):
     """Interval [a, b] requires a < b."""
 

@@ -8,8 +8,7 @@ Case IV  x^2 = -x - 1   primitive cube roots of unity in Q(sqrt(-3))
 Fibonacci indexing note: fib() uses the seeds f0 = f1 = 1 (so the sequence
 reads 1, 1, 2, 3, 5, 8, 13, ...). Under those seeds the power reduction is
 x^n = fib(n-1)*x + fib(n-2), i.e. phi^5 = 5*phi + 3. All complex-case
-arithmetic runs exactly in Q(sqrt(-3)); nothing here touches floats except
-the explicitly numeric geometric-sum checks.
+arithmetic runs exactly in Q(sqrt(-3)); nothing here touches floats.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeIndex, UnitRatio
+from .errors import NegativeIndex
 from .qfield import QuadElem
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "residue_power_sum",
     "unit_group",
     "multiplication_table",
-    "geometric_sum_check",
-    "cubic_root_sum_check",
     "PHI",
     "PHI_BAR",
 ]
@@ -199,62 +196,3 @@ def multiplication_table(group: UnitGroup) -> list[list[int]]:
         for z in group.elements
     ]
 
-
-def geometric_sum_check(x, n: int) -> bool:
-    """Confirm Sum_{k=1}^{n} x^k == x*(x^n - 1)/(x - 1).
-
-    Exact for QuadElem/Fraction/int inputs; floats are compared to 1e-12
-    relative. x = 1 raises UnitRatio.
-    """
-    if x == 1:
-        raise UnitRatio("geometric sum has no closed form at ratio 1")
-    if isinstance(x, float):
-        total = 0.0
-        power = 1.0
-        for _ in range(n):
-            power *= x
-            total += power
-        closed = x * (x**n - 1) / (x - 1)
-        scale = max(abs(total), abs(closed), 1.0)
-        return abs(total - closed) <= 1e-12 * scale
-    if isinstance(x, int):
-        x = Fraction(x)
-    total = x * 0
-    power = x * 0 + 1
-    for _ in range(n):
-        power = power * x
-        total = total + power
-    return total == x * (x**n - 1) / (x - 1)
-
-
-# the plastic number, the real root of x^3 = x + 1, by Cardano (math.cbrt needs Python 3.11)
-_PLASTIC = ((9 + 69**0.5) / 18) ** (1 / 3) + ((9 - 69**0.5) / 18) ** (1 / 3)
-
-
-def cubic_root_sum_check(n: int, variant: str = "plus", tol: float = 1e-10) -> tuple[float, float, bool]:
-    """Degree-3 analogue of the unit-coefficient sums, checked numerically.
-
-    variant 'plus': the plastic number rho ~ 1.3247 (Cardano), the real root of x^3 = x + 1.
-        x^3 - x = 1 factors as (x - 1)*x*(x + 1) = 1 and x + 1 = x^3, so
-        1/(x - 1) = x^4 and the geometric sum collapses to x^5 * (x^n - 1).
-    variant 'minus': -rho, the real root of x^3 = x - 1,
-        where the sum is x^(1-3) * (x^n - 1).
-
-    Returns (direct accumulation, rewritten closed form, agreement <= tol).
-    """
-    if variant == "plus":
-        x = _PLASTIC
-        rewrite = lambda: x**5 * (x**n - 1)
-    elif variant == "minus":
-        x = -_PLASTIC
-        rewrite = lambda: x ** (1 - 3) * (x**n - 1)
-    else:
-        raise ValueError("variant must be 'plus' or 'minus'")
-    direct = 0.0
-    power = 1.0
-    for _ in range(n):
-        power *= x
-        direct += power
-    rewritten = rewrite()
-    ok = abs(direct - rewritten) <= tol * max(1.0, abs(direct))
-    return direct, rewritten, ok

@@ -35,8 +35,6 @@ __all__ = [
     "special_case",
     "PhiLedgerRow",
     "phi_ledger",
-    "phi_properties",
-    "irrationality_bracket",
 ]
 
 _NAMES = {(1, 1): "gold", (2, 1): "silver", (3, 1): "bronze"}
@@ -222,22 +220,3 @@ def phi_ledger(n_max: int) -> list[PhiLedgerRow]:
         coeff, const = coeff + const, coeff  # x^(n+1) = x * x^n with x^2 = x + 1
     return rows
 
-
-def phi_properties() -> list[tuple[str, bool]]:
-    """The eight verifiable golden-ratio identities of the closing ledger."""
-    one = QuadElem.from_rational(1)
-    return [
-        ("phi + conj = 1", PHI + PHI_BAR == one),
-        ("phi * conj = -1", PHI * PHI_BAR == -one),
-        ("phi^2 + conj^2 = 3", PHI**2 + PHI_BAR**2 == 3 * one),
-        ("phi^2 = phi + 1", PHI**2 == PHI + 1),
-        ("phi^2 + phi*conj = phi", PHI**2 + PHI * PHI_BAR == PHI),
-        ("phi^3 = 2*phi + 1", PHI**3 == 2 * PHI + 1),
-        ("phi^4 = 3*phi + 2", PHI**4 == 3 * PHI + 2),
-        ("phi^5 = 5*phi + 3", PHI**5 == 5 * PHI + 3),
-    ]
-
-
-def irrationality_bracket() -> tuple[float, float]:
-    """The coarse numeric bracket 1.6 < phi < 1.7 (checked by verify's creation-trig)."""
-    return 1.6, 1.7

@@ -3,10 +3,11 @@
 Every even perfect number 2^(p-1) * (2^p - 1) equals f(2^(p-1) - 1), so the
 parabola "contains" the even perfect numbers; :func:`preimage` inverts it on
 integers via the exact square test on 1 + 8P. Mersenne primality runs through
-Lucas-Lehmer. The same module carries the parity-swap maps, the
-arithmetic-series closed forms with the odd-square mod-8 corollary, the
-sum-of-squares bridge, and the parabola's chord/axis areas (all areas by
-exact antiderivative, never quadrature).
+Lucas-Lehmer. The same module carries the triangular map whose x -> 2x + 1
+substitution gives the parabola, its parity-preserving companion
+h(x) = 2x^2 + x, and the parabola's chord/axis areas (all areas by exact
+antiderivative, never quadrature). The series, sum-of-squares and parity
+identities these rest on are checked by verify, not here.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Optional
+from typing import Optional
 
-from .errors import EmptyInterval, NonPositiveParameter, ZeroDifference
+from .errors import EmptyInterval, NonPositiveParameter
 from .intmath import is_prime
 from .qfield import RatLike, rational
 
@@ -24,20 +25,13 @@ __all__ = [
     "parabola",
     "half_map",
     "even_preserving_map",
-    "difference_identity",
     "PerfectRecord",
     "lucas_lehmer",
     "perfect_from_exponent",
     "preimage",
-    "parity_map",
-    "SeriesSpec",
-    "series_closed_forms",
-    "BridgeReport",
-    "sum_squares_bridge",
     "integral",
     "ChordReport",
     "chord_geometry",
-    "divisor_sum_is_perfect",
 ]
 
 
@@ -61,11 +55,6 @@ def half_map(x):
 def even_preserving_map(x):
     """h(x) = 2x^2 + x: parity-preserving companion of the parabola."""
     return 2 * x * x + x
-
-
-def difference_identity(a, b) -> bool:
-    """f(a) - f(b) == (a - b)*(2a + 2b + 3), exactly."""
-    return parabola(a) - parabola(b) == (a - b) * (2 * a + 2 * b + 3)
 
 
 @dataclass(frozen=True)
@@ -134,94 +123,6 @@ def preimage(value: int) -> Optional[tuple[int, Fraction]]:
     return x1, -Fraction(3 + 2 * x1, 2)
 
 
-def parity_map(which: str, n: int) -> int:
-    """Evaluate f (parity-flipping) or h (parity-preserving) at an integer.
-
-    f(odd) is even and f(even) is odd, while h never changes parity; verify's
-    parity-contracts checks both.
-    """
-    if which == "f":
-        return parabola(n)
-    if which == "h":
-        return even_preserving_map(n)
-    raise ValueError("map must be 'f' or 'h'")
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Arithmetic series b + (b+d) + ... with n terms."""
-
-    b: Fraction
-    d: Fraction
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", rational(self.b))
-        object.__setattr__(self, "d", rational(self.d))
-        if self.n < 1:
-            raise ValueError("series needs at least one term")
-
-    def direct_sum(self) -> Fraction:
-        return sum((self.b + k * self.d for k in range(self.n)), Fraction(0))
-
-
-def series_closed_forms(spec: SeriesSpec) -> tuple[Fraction, Fraction]:
-    """Both closed forms of the arithmetic series (tests compare them with direct summation).
-
-    sum   = (d*n^2 + (2b - d)*n) / 2
-    square_form = ((2dn + 2b - d)^2 - (2b - d)^2) / (8d)
-
-    With b = d = 1 the square form reads ((2n+1)^2 - 1)/8, which is why an
-    odd square is always 1 mod 8 (and so never a perfect number).
-    """
-    b, d, n = spec.b, spec.d, spec.n
-    if d == 0:
-        raise ZeroDifference("square form needs d != 0")
-    plain = (d * n * n + (2 * b - d) * n) / 2
-    square_form = ((2 * d * n + 2 * b - d) ** 2 - (2 * b - d) ** 2) / (8 * d)
-    return plain, square_form
-
-
-@dataclass(frozen=True)
-class BridgeReport:
-    n: int
-    sum_of_squares: int
-    f_n: int  # (n+1)(2n+1)
-    identity_ok: bool  # 6 * sum == n * f(n)
-    ratio_bound_ok: Optional[bool]  # |f(n)/n^2 - 2| < 3.1/n, meaningful for n >= 11
-    records_ok: bool  # x1 == floor(sqrt(P/2)) == floor(sqrt((2^(p+1)-1)^2 - 1))/4 per record
-
-
-def sum_squares_bridge(n: int, records: Iterable[PerfectRecord] = ()) -> BridgeReport:
-    """Tie the sum of squares to the asymptotic size of perfect numbers.
-
-    Accumulates sum_{i=1}^{n} i^2 directly and reports the identity
-    6*sum = n*(n+1)*(2n+1), the tail bound |f(n)/n^2 - 2| < 3.1/n
-    (which holds from n = 11 on; None below), and for each supplied record
-    that x1 = floor(sqrt(P/2)), also reachable as floor(sqrt((2^(p+1)-1)^2 - 1))//4.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = sum(i * i for i in range(1, n + 1))
-    f_n = (n + 1) * (2 * n + 1)
-    ratio_ok = None
-    if n >= 11:
-        ratio_ok = abs(Fraction(f_n, n * n) - 2) < Fraction(31, 10) / n
-    records_ok = True
-    for rec in records:
-        floor_a = isqrt(rec.value // 2)
-        floor_b = isqrt(((1 << (rec.exponent + 1)) - 1) ** 2 - 1) // 4
-        records_ok = records_ok and floor_a == rec.x1 == floor_b
-    return BridgeReport(
-        n=n,
-        sum_of_squares=total,
-        f_n=f_n,
-        identity_ok=6 * total == n * f_n,
-        ratio_bound_ok=ratio_ok,
-        records_ok=records_ok,
-    )
-
-
 def _antiderivative(x: Fraction) -> Fraction:
     """Exact antiderivative (2/3)x^3 + (3/2)x^2 + x of the parabola."""
     return Fraction(2, 3) * x**3 + Fraction(3, 2) * x**2 + x
@@ -273,16 +174,3 @@ def chord_geometry(a: RatLike, b: RatLike) -> ChordReport:
         axis_area=abs(area),
     )
 
-
-def divisor_sum_is_perfect(n: int) -> bool:
-    """Direct proper-divisor-sum perfection test (oracle for small n)."""
-    if n < 2:
-        return False
-    total = 1
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            total += d
-            other = n // d
-            if other != d:
-                total += other
-    return total == n

@@ -11,11 +11,13 @@ check raises into a failing result that gives the exception and the line of
 this file where the check stopped, so one failure doesn't hide the rest.
 
 This module is the only home of the expected values (reference tables,
-constants, identities, brute-force oracles). The library functions compute
-and do not check themselves; each identity they rest on is checked here
-(or, for a few, by an independent unit test). The acceptance criteria in
-``tests/test_acceptance.py`` call these checks with their pinned bounds and
-seeds instead of carrying a second copy.
+constants, identities, brute-force oracles such as the proper-divisor sum).
+The library functions compute: none returns a verdict on its own module's
+identities, a constant for a check to compare against, or an oracle. Each
+identity they rest on is checked here, by an `_expect` that names its
+operands (or, for a few, by an independent unit test). The acceptance
+criteria in ``tests/test_acceptance.py`` call these checks with their pinned
+bounds and seeds instead of carrying a second copy.
 """
 
 from __future__ import annotations
@@ -214,6 +216,24 @@ def check_partial_sums(n_max: int) -> str:
             _expect(fibgroup.partial_power_sum(case, 2) == QuadElem.from_rational(-1))
             _expect(fibgroup.partial_power_sum(case, 3) == QuadElem.from_rational(0))
             _expect(fibgroup.partial_power_sum(case, 4) == x)
+    # the geometric sum x + ... + x^n = x(x^n - 1)/(x - 1), exactly
+    for ratio in (Fraction(2), Fraction(3, 2), fibgroup.PHI, fibgroup.PHI_BAR):
+        total, power = 0, 1
+        for n in range(1, n_max + 1):
+            power = power * ratio
+            total = total + power
+            _expect(total == ratio * (ratio**n - 1) / (ratio - 1), ratio, n)
+    # the plastic number rho, the real root of x^3 = x + 1, by Cardano; x^3 - x = 1 factors as
+    # (x - 1)x(x + 1) = 1 with x + 1 = x^3, so 1/(x - 1) = x^4 and the sum is x^5 (x^n - 1);
+    # -rho, the real root of x^3 = x - 1, gives x^-2 (x^n - 1). Floats, at 1e-10 relative.
+    rho = ((9 + 69**0.5) / 18) ** (1 / 3) + ((9 - 69**0.5) / 18) ** (1 / 3)
+    _expect(abs(rho**3 - rho - 1) <= 1e-12, rho)
+    for x, shift in ((rho, 5), (-rho, -2)):
+        direct, power = 0.0, 1.0
+        for n in range(1, n_max + 1):
+            power *= x
+            direct += power
+            _expect(abs(direct - x**shift * (x**n - 1)) <= 1e-10 * max(1.0, abs(direct)), x, n)
     return f"all cases, n <= {n_max}"
 
 
@@ -261,8 +281,16 @@ def check_metallic_table() -> str:
 
 def check_phi_ledger(n_max: int) -> str:
     phi, phi_bar = fibgroup.PHI, fibgroup.PHI_BAR
+    one = QuadElem.from_rational(1)
+    _expect(phi + phi_bar == one, "phi + conj = 1")
+    _expect(phi * phi_bar == -one, "phi * conj = -1")
+    _expect(phi**2 + phi_bar**2 == 3 * one, "phi^2 + conj^2 = 3")
+    _expect(phi**2 == phi + 1, "phi^2 = phi + 1")
+    _expect(phi**2 + phi * phi_bar == phi, "phi^2 + phi*conj = phi")
+    _expect(phi**3 == 2 * phi + 1, "phi^3 = 2*phi + 1")
+    _expect(phi**4 == 3 * phi + 2, "phi^4 = 3*phi + 2")
+    _expect(phi**5 == 5 * phi + 3, "phi^5 = 5*phi + 3")
     rows = metallic.phi_ledger(n_max)
-    _expect(all(flag for _, flag in metallic.phi_properties()))
     _expect([row.n for row in rows] == list(range(2, n_max + 1)))
     for row in rows:
         power, power_bar = phi**row.n, phi_bar**row.n
@@ -281,6 +309,15 @@ def check_integer_root_family(k_max: int = 100) -> str:
         eq = Quadratic(1, -1, -2 * k * (2 * k + 1))
         _expect(eq(2 * k + 1) == 0 and eq(-2 * k) == 0, k)
         _expect(4 * (2 * k * (2 * k + 1)) + 1 == (4 * k + 1) ** 2, k)
+    # the special case x^2 - (2k +/- 1)x + ... has roots (+/-1 + 2k +/- sqrt(m))/2
+    for k in range(-10, 11):
+        for m in (2, 3, 5, 13, -3, -7):
+            for variant, offset in (("plus", 1), ("minus", -1)):
+                root = QuadElem(Fraction(offset + 2 * k, 2), Fraction(1, 2), m)
+                pair = solve(metallic.special_case(k, m, variant))
+                _expect({pair.r1, pair.r2} == {root, root.conj()}, k, m, variant)
+            forced = metallic.special_case(k, abs(m), complex_radicand=True)
+            _expect(forced == metallic.special_case(k, -abs(m)), k, m)
     return f"k <= {k_max}"
 
 
@@ -292,8 +329,7 @@ def check_creation_and_trig() -> str:
     # cos(t) = PHI/2 needs (1 + sqrt(m))/4 <= 1
     _expect(all((1 + math.sqrt(m)) / 4 <= 1 for m in report.feasible_radicands))
     _expect((1 + math.sqrt(report.infeasible_example)) / 4 > 1)
-    lo, hi = metallic.irrationality_bracket()
-    _expect(lo < float(fibgroup.PHI) < hi)
+    _expect(1.6 < float(fibgroup.PHI) < 1.7, float(fibgroup.PHI))
     return "exact halves + 1e-12 numerics"
 
 
@@ -376,20 +412,31 @@ def check_perfect_table() -> str:
     return f"{len(expected)} rows, both directions"
 
 
+def _divisor_sum_is_perfect(n: int) -> bool:
+    """Whether n's proper divisors sum to n, by trial division to sqrt(n)."""
+    total = 1
+    for d in range(2, math.isqrt(n) + 1):
+        if n % d == 0:
+            total += d if d * d == n else d + n // d
+    return n > 1 and total == n
+
+
 def check_perfect_records(p_max: int = 19) -> str:
     for p in range(2, p_max + 1):
         if not is_prime(p):
             continue
         rec = perfect.perfect_from_exponent(p)
-        _expect(rec.is_perfect == perfect.divisor_sum_is_perfect(rec.value), p)
+        _expect(rec.is_perfect == perfect.lucas_lehmer(p) == _divisor_sum_is_perfect(rec.value), p)
         _expect(perfect.parabola(rec.x1) == rec.value, p)
         _expect(8 * rec.value + 1 == ((1 << (p + 1)) - 1) ** 2, p)
+        # the two floors of x1: floor(sqrt(P/2)) and floor(floor(sqrt((2^(p+1) - 1)^2 - 1)) / 4)
+        _expect(math.isqrt(rec.value // 2) == rec.x1 == math.isqrt(((1 << (p + 1)) - 1) ** 2 - 1) // 4, p)
     return f"prime exponents <= {p_max}"
 
 
 def check_parity_contracts(span: int) -> str:
     for n in range(-span, span + 1):
-        _expect(perfect.parity_map("f", n) % 2 != n % 2 and perfect.parity_map("h", n) % 2 == n % 2, n)
+        _expect(perfect.parabola(n) % 2 != n % 2 and perfect.even_preserving_map(n) % 2 == n % 2, n)
     return f"integers in [-{span}, {span}]"
 
 
@@ -397,8 +444,24 @@ def check_x1_forms(limit: int = 60) -> str:
     for l in range(1, limit + 1):
         _expect(perfect.parabola(2**l - 1) == 2**l * (2 ** (l + 1) - 1), l)
         _expect(perfect.parabola(2**l + 1) == 2**l * (2 ** (l + 1) + 7) + 6, l)
+    squares = 0
     for n in range(0, limit + 1):
         _expect(perfect.parabola(2 * n + 1) == 8 * n * n + 14 * n + 6, n)
+        _expect(perfect.half_map(2 * n + 1) == perfect.parabola(n), n)
+        # 6 (1^2 + ... + n^2) = n f(n), and f(n)/n^2 -> 2 with |f(n)/n^2 - 2| < 3.1/n from n = 11 on
+        squares += n * n
+        _expect(6 * squares == n * perfect.parabola(n), n)
+        if n >= 11:
+            _expect(abs(Fraction(perfect.parabola(n), n * n) - 2) < Fraction(31, 10) / n, n)
+        # (2n + 1)^2 = 8 (1 + ... + n) + 1, so an odd square is 1 mod 8 and never perfect
+        _expect((2 * n + 1) ** 2 % 8 == 1, n)
+    # b + (b + d) + ... + (b + (n-1)d) = (dn^2 + (2b - d)n)/2 = ((2dn + 2b - d)^2 - (2b - d)^2)/(8d)
+    for b, d in ((1, 1), (1, 2), (2, 2), (Fraction(-7, 3), Fraction(5, 2)), (Fraction(3, 4), Fraction(-1, 6))):
+        b, d, total = Fraction(b), Fraction(d), Fraction(0)
+        for n in range(1, limit + 1):
+            total += b + (n - 1) * d
+            _expect(total == (d * n * n + (2 * b - d) * n) / 2, b, d, n)
+            _expect(total == ((2 * d * n + 2 * b - d) ** 2 - (2 * b - d) ** 2) / (8 * d), b, d, n)
     return f"l, n <= {limit}"
 
 
@@ -407,7 +470,7 @@ def check_difference_identity(samples: int, seed: int = 401) -> str:
     rng = random.Random(seed)
     for _ in range(samples):
         a, b = _rand_frac(rng), _rand_frac(rng)
-        _expect(perfect.difference_identity(a, b), a, b)
+        _expect(perfect.parabola(a) - perfect.parabola(b) == (a - b) * (2 * a + 2 * b + 3), a, b)
         if a == b:
             continue
         a, b = min(a, b), max(a, b)
@@ -426,6 +489,8 @@ def check_areas_and_constants() -> str:
     right = perfect.chord_geometry(Fraction(-1, 2), Fraction(0))
     _expect(left.axis_area == Fraction(1, 24) and right.axis_area == Fraction(5, 24))
     _expect(left.axis_area + right.axis_area == Fraction(1, 4))
+    # f < 0 between its roots -1 and -1/2, f > 0 after: the signed integral over [-1, 0] is the difference
+    _expect(perfect.integral(-1, 0) == right.axis_area - left.axis_area)
     v = vertex(Quadratic(2, 3, 1))
     _expect((v.h, v.k) == (Fraction(-3, 4), Fraction(-1, 8)))
     phi = float(fibgroup.PHI)

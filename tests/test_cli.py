@@ -618,6 +618,20 @@ class TestVerifyCommand:
         assert (failed[0]["module"], failed[0]["name"]) == ("solver", "vieta-substitution-vertex")
         assert failed[0]["detail"] == f"CheckFailed: does not hold for {p}, {q} (at verify.py:{line})"
 
+    def test_wrong_special_case_and_half_map_fail_by_operand(self, monkeypatch):
+        """verify reaches metallic.special_case and perfect.half_map: a wrong form is a FAIL naming its case."""
+        from quadratica import metallic, perfect, solver, verify
+
+        def special_case(k, m, variant="plus", complex_radicand=False):  # constant k^2, not k^2 + k + (1-m)/4
+            return solver.Quadratic(1, -(2 * k + 1), k * k)
+
+        monkeypatch.setattr(metallic, "special_case", special_case)
+        monkeypatch.setattr(perfect, "half_map", lambda x: x * x + x)  # not halved
+        failed = {r.name: r.detail for r in verify.run_all("quick") if not r.ok}
+        assert set(failed) == {"integer-root-family", "x1-closed-forms"}
+        assert failed["integer-root-family"].startswith("CheckFailed: does not hold for -10, 2, plus (at ")
+        assert failed["x1-closed-forms"].startswith("CheckFailed: does not hold for 0 (at ")
+
     def test_failure_reported_under_optimize(self):
         """`python -O` strips `assert`; a broken identity must still FAIL."""
         script = (

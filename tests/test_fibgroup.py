@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadratica.errors import NegativeIndex, UnitRatio
+from quadratica import verify
+from quadratica.errors import NegativeIndex
 from quadratica.fibgroup import (
     PHI,
     PHI_BAR,
@@ -12,9 +13,7 @@ from quadratica.fibgroup import (
     FibPair,
     case_root,
     closed_power_sum,
-    cubic_root_sum_check,
     fib,
-    geometric_sum_check,
     multiplication_table,
     partial_power_sum,
     power_reduce,
@@ -235,37 +234,17 @@ class TestUnitGroups:
 
 
 class TestGeometricSum:
-    def test_integer(self):
-        assert geometric_sum_check(2, 3)  # 2 + 4 + 8 = 14 = 2 * 7
-
     def test_phi_exact(self):
-        assert geometric_sum_check(PHI, 4)
         # for the golden root the sum is also x^(n+2) - x^2
         total = sum((PHI**k for k in range(1, 5)), ZERO)
-        assert total == PHI**6 - PHI**2
-
-    def test_unit_ratio_rejected(self):
-        with pytest.raises(UnitRatio):
-            geometric_sum_check(1, 5)
-
-    def test_float_path(self):
-        assert geometric_sum_check(1.5, 10)
-
-    def test_cubic_plus(self):
-        direct, rewritten, ok = cubic_root_sum_check(5)
-        assert ok and abs(direct - rewritten) < 1e-10
-
-    def test_cubic_minus(self):
-        assert cubic_root_sum_check(7, "minus")[2]
+        assert total == partial_power_sum(Case.I, 4) == closed_power_sum(Case.I, 4) == PHI**6 - PHI**2
 
     def test_plastic_number(self):
-        # at n = 1 the direct sum is the root itself
-        rho = cubic_root_sum_check(1)[0]
-        assert abs(rho**3 - rho - 1) <= 4e-16
-        assert cubic_root_sum_check(1, "minus")[0] == -rho
-        for variant in ("plus", "minus"):
-            assert all(cubic_root_sum_check(n, variant)[2] for n in range(61)), variant
+        # verify's partial-sums also checks x(x^n - 1)/(x - 1) at 2, 3/2, phi and conj(phi),
+        # and the plastic-number rewrites x^5 (x^n - 1) and x^-2 (x^n - 1) in floats
+        verify.check_partial_sums(60)
 
     @given(st.integers(min_value=1, max_value=40))
     def test_conjugate_phi(self, n):
-        assert geometric_sum_check(PHI_BAR, n)
+        total = sum((PHI_BAR**k for k in range(1, n + 1)), ZERO)
+        assert total == closed_power_sum(Case.I, n, x=PHI_BAR) == PHI_BAR * (PHI_BAR**n - 1) / (PHI_BAR - 1)

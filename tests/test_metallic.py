@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quadratica import verify
 from quadratica.errors import NonPositiveParameter
 from quadratica.fibgroup import PHI, PHI_BAR
 from quadratica.metallic import (
     RadicandFamily,
     creation_equation,
     golden_trig,
-    irrationality_bracket,
     metallic,
     phi_ledger,
-    phi_properties,
     radicand_classify,
     special_case,
 )
@@ -203,15 +202,13 @@ class TestPhiLedger:
             assert row.diff_coeff == f_std(n)
 
     def test_properties_one_through_eight(self):
-        results = phi_properties()
-        assert len(results) == 8
-        assert all(ok for _, ok in results)
+        # each of the eight is its own named _expect in verify's phi-ledger
+        verify.check_phi_ledger(8)
 
 
 class TestIrrationalityBracket:
     def test_phi_inside(self):
-        lo, hi = irrationality_bracket()
-        assert lo < float(PHI) < hi
+        assert 1.6 < float(PHI) < 1.7
 
     def test_silver_outside(self):
         assert float(metallic(2, 1).sigma) > 1.7

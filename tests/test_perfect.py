@@ -1,4 +1,4 @@
-"""Perfect-number parabola: tables, preimages, series forms, areas, constants."""
+"""Perfect-number parabola: tables, preimages, parity maps, areas, constants."""
 
 import math
 from fractions import Fraction
@@ -7,23 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadratica.errors import EmptyInterval, ZeroDifference
+from quadratica import verify
+from quadratica.errors import EmptyInterval
 from quadratica.fibgroup import PHI
 from quadratica.perfect import (
-    SeriesSpec,
     chord_geometry,
-    difference_identity,
-    divisor_sum_is_perfect,
     even_preserving_map,
     half_map,
     integral,
     lucas_lehmer,
     parabola,
-    parity_map,
     perfect_from_exponent,
     preimage,
-    series_closed_forms,
-    sum_squares_bridge,
 )
 
 fracs = st.fractions(min_value=-40, max_value=40, max_denominator=20)
@@ -66,7 +61,7 @@ class TestParabola:
 
     @given(fracs, fracs)
     def test_difference_identity(self, a, b):
-        assert difference_identity(a, b)
+        assert parabola(a) - parabola(b) == (a - b) * (2 * a + 2 * b + 3)
 
 
 class TestPerfectTable:
@@ -99,9 +94,7 @@ class TestPerfectTable:
             assert 8 * rec.value + 1 == (2 ** (p + 1) - 1) ** 2
 
     def test_lucas_lehmer_vs_divisor_sums(self):
-        for p in range(2, 20):
-            rec = perfect_from_exponent(p)
-            assert rec.is_perfect == divisor_sum_is_perfect(rec.value)
+        verify.check_perfect_records(19)
 
     def test_lucas_lehmer_known(self):
         assert [p for p in range(2, 32) if lucas_lehmer(p)] == [2, 3, 5, 7, 13, 17, 19, 31]
@@ -116,14 +109,14 @@ class TestPerfectTable:
 
 class TestParityMaps:
     def test_examples(self):
-        assert parity_map("f", 3) == 28
-        assert parity_map("h", 2) == 10
-        assert parity_map("f", 4) == 45
+        assert parabola(3) == 28
+        assert even_preserving_map(2) == 10
+        assert parabola(4) == 45
 
     def test_contracts(self):
         for n in range(-2000, 2001):
-            assert parity_map("f", n) % 2 != n % 2
-            assert parity_map("h", n) % 2 == n % 2
+            assert parabola(n) % 2 != n % 2
+            assert even_preserving_map(n) % 2 == n % 2
 
     def test_h_never_hits_a_perfect_number(self):
         perfect_values = {
@@ -141,53 +134,32 @@ class TestParityMaps:
 
 
 class TestSeries:
-    def test_unit_series(self):
-        total, square = series_closed_forms(SeriesSpec(Fraction(1), Fraction(1), 3))
-        assert total == 6 == ((2 * 3 + 1) ** 2 - 1) // 8
-        assert square == 6
-
-    def test_odd_series_gives_squares(self):
-        total, _ = series_closed_forms(SeriesSpec(Fraction(1), Fraction(2), 4))
-        assert total == 16
-
-    def test_even_series(self):
-        total, _ = series_closed_forms(SeriesSpec(Fraction(2), Fraction(2), 3))
-        assert total == 12 == 3 * 3 + 3
-
-    def test_zero_difference_rejected(self):
-        with pytest.raises(ZeroDifference):
-            series_closed_forms(SeriesSpec(Fraction(1), Fraction(0), 3))
-
-    @given(fracs, fracs.filter(bool), st.integers(min_value=1, max_value=50))
-    def test_matches_direct_summation(self, b, d, n):
-        spec = SeriesSpec(b, d, n)
-        total, square = series_closed_forms(spec)
-        assert total == square == spec.direct_sum()
+    def test_matches_direct_summation(self):
+        # the arithmetic series' direct sums against both closed forms live in verify's x1-closed-forms
+        verify.check_x1_forms()
 
     def test_odd_squares_mod_eight(self):
-        for k in range(1, 2000, 2):
-            assert k * k % 8 == 1
+        # (2n + 1)^2 = 8 * (n-th triangular number) + 1
+        for n in range(1000):
+            assert (2 * n + 1) ** 2 == 8 * half_map(n) + 1
 
 
 class TestSumSquaresBridge:
     def test_small(self):
-        report = sum_squares_bridge(3)
-        assert report.sum_of_squares == 14
-        assert report.f_n == 28
-        assert 6 * 14 == 3 * 28
-
-    def test_trivial(self):
-        assert sum_squares_bridge(1).sum_of_squares == 1
+        assert 1 + 4 + 9 == 14 and 6 * 14 == 3 * parabola(3)
 
     def test_ratio_bound_from_eleven(self):
-        assert sum_squares_bridge(10).ratio_bound_ok is None
-        for n in (11, 50, 1000):
-            assert sum_squares_bridge(n).ratio_bound_ok
+        # |f(n)/n^2 - 2| = 3/n + 1/n^2 < 3.1/n exactly when n > 10
+        def within(n):
+            return abs(Fraction(parabola(n), n * n) - 2) < Fraction(31, 10) / n
+
+        assert not within(10)
+        assert all(within(n) for n in (11, 50, 1000))
 
     def test_record_floors(self):
-        records = [perfect_from_exponent(p) for p in (2, 3, 5, 7, 13)]
-        report = sum_squares_bridge(20, records)
-        assert report.records_ok
+        for p in (2, 3, 5, 7, 13):
+            rec = perfect_from_exponent(p)
+            assert math.isqrt(rec.value // 2) == rec.x1 == math.isqrt(((1 << (p + 1)) - 1) ** 2 - 1) // 4
         assert math.isqrt(496 // 2) == 15
 
 
