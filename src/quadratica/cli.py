@@ -506,10 +506,21 @@ _SOLID_ALIASES = {
 }
 
 
+def _refuse_past_float_range(what: str, *values) -> None:
+    """Refuse, before any output, values whose float form overflows or comes out infinite."""
+    try:
+        finite = all(math.isfinite(float(value)) for value in values)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InputTooLarge(f"{what} values would pass the float range")
+
+
 def _cmd_geom(args, cfg: OutputConfig) -> Output:
     if args.action == "platonic":
         solid = _SOLID_ALIASES[args.solid]
         row = geometry.platonic(solid, args.edge)
+        _refuse_past_float_range("geom platonic", row.face_area, row.total_area, row.apothem, row.volume)
         lines = [
             f"{solid.value} with edge {row.edge}:",
             f"face area: {row.face_area} = {cfg.fnum(float(row.face_area))}",
@@ -533,6 +544,7 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
         return Output(lines, data)
     if args.action == "goldencut":
         a, b = geometry.golden_cut(args.length)
+        _refuse_past_float_range("geom goldencut", a, b)
         lines = [f"a = {a} = {cfg.fnum(float(a))}", f"b = {b} = {cfg.fnum(float(b))}"]
         return Output(lines, {"a": a, "b": b})
     if args.action == "trajectory":

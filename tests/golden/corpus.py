@@ -130,6 +130,8 @@ metallic ledger --n 30000
 perfect table --max-exp 2001
 perfect plot --from 0 --to 100001/100 --step 1/100
 geom trajectory 10 0.785398 --samples 0
+geom platonic cube --edge 1e120
+geom goldencut 1e400
 perfect plot --step 0
 perfect plot --from 1 --to 0
 perfect plot --from 1e200 --to 1e200

@@ -451,6 +451,17 @@ class TestOtherCommands:
     def test_metallic_table_bounded(self, capsys):
         assert f"<= {10**4}" in refused_at_once(capsys, "metallic", "table", "--max-p", str(10**4 + 1))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["geom", "platonic", "cube", "--edge", "1e120"], ["geom", "platonic", "icosa", "--edge", "5e102"],
+         ["geom", "goldencut", "1e400"]],
+    )
+    def test_geom_past_the_float_range_refused_before_output(self, capsys, argv):
+        # 5e102 fits every exact value's float, but the icosahedron's volume comes out as inf
+        code, out, err = run(capsys, *argv, "--json")
+        message = f"{argv[0]} {argv[1]} values would pass the float range"
+        assert code == 1 and out == "" and json.loads(err)["error"] == {"type": "InputTooLarge", "message": message}
+
     def test_geom_goldencut(self, capsys):
         code, out, _ = run(capsys, "geom", "goldencut", "1", "--json")
         payload = json.loads(out)
