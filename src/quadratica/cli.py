@@ -605,18 +605,25 @@ def _cmd_verify(args, cfg: OutputConfig) -> Output:
 def _literal(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     """An argparse type that reads a number with parse; a literal it cannot read is a usage error.
 
-    Fraction builds 10**exponent, so a literal such as 1e5000, whose mantissa digits plus |exponent|
-    pass the int-to-str digit limit, is refused first, as int() refuses that many written-out digits.
+    A run of digits past the int-to-str digit limit is refused first, in words that quote only the
+    literal's head. Fraction builds 10**exponent, so a literal such as 1e5000, whose mantissa digits
+    plus |exponent| pass the limit, is refused too, as int() refuses that many written-out digits.
     """
 
     def convert(text: str):
         mantissa, e, exponent = text.lower().partition("e")
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         try:
-            if e and limit and re.fullmatch(r"[-+]?\d+(_\d+)*\s*", exponent):
-                digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent))
-                if digits > limit:
-                    raise InputTooLarge(f"{text} has {digits} digits written out; at most {limit} are allowed")
+            if limit:
+                runs = re.findall(r"\d+(?:_\d+)*", text)
+                longest = max((sum(map(str.isdigit, run)) for run in runs), default=0)
+                if longest > limit:
+                    head = f"{text[:20]}..."
+                    raise InputTooLarge(f"{head} has {longest} digits in a row; at most {limit} are allowed")
+                if e and re.fullmatch(r"[-+]?\d+(_\d+)*\s*", exponent):
+                    digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent))
+                    if digits > limit:
+                        raise InputTooLarge(f"{text} has {digits} digits written out; at most {limit} are allowed")
             return parse(text)
         except (DomainError, ValueError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None

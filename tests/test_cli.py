@@ -193,6 +193,22 @@ class TestNumberArguments:
             assert f"argument z: {literal} has {limit + 1} digits" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv,name,literal",
+        [
+            (["solve", "LITERAL", "1", "1"], "a", "9" * 641),
+            (["solve", "LITERAL", "1", "1"], "a", "1e" + "9" * 641),
+            (["qfield", "conj", "LITERAL"], "z", "9" * 641 + " + √5"),
+        ],
+        ids=["integer", "exponent", "field-element"],
+    )
+    def test_digit_run_past_the_limit_refused_in_its_own_words(self, capsys, digit_limit_640, argv, name, literal):
+        with pytest.raises(SystemExit) as exc:
+            main([literal if arg == "LITERAL" else arg for arg in argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and len(err) < 1000
+        assert f"argument {name}: {literal[:20]}... has 641 digits in a row; at most 640 are allowed" in err
+
+    @pytest.mark.parametrize(
         "literal,message",
         [("x", "Invalid literal for Fraction: 'x'"), ("1/0", "Fraction(1, 0)")],
     )
