@@ -146,7 +146,7 @@ class TestSeries:
 
 class TestSumSquaresBridge:
     def test_small(self):
-        assert 1 + 4 + 9 == 14 and 6 * 14 == 3 * parabola(3)
+        assert 6 * (1 + 4 + 9) == 3 * parabola(3)
 
     def test_ratio_bound_from_eleven(self):
         # |f(n)/n^2 - 2| = 3/n + 1/n^2 < 3.1/n exactly when n > 10
