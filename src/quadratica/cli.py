@@ -2,13 +2,17 @@
 
 Exit codes: 0 success, 1 domain error or unwritable file (with a
 machine-readable envelope on stderr under --format json), 2 usage error.
-argparse reads every number argument into an int, a Fraction or a QuadElem,
-so handlers call the library directly; a literal that cannot be read, or
-whose written-out digits pass the int-to-str limit, is a usage error.
-Exact values are rendered exactly in JSON ({num, den} rationals, {a, b, m}
-field elements); floats appear only in explicitly numeric fields, formatted
-to --precision significant digits. CSV output uses '.' decimals and comma
-delimiters, and samplers emit strictly increasing x columns.
+argparse reads every number argument, --precision included, through one
+reader, _literal, into an int, a Fraction or a QuadElem, so handlers call the
+library directly; a literal that cannot be read, or whose written-out digits
+pass the int-to-str limit, is a usage error, and so is a --precision outside
+[1, 30]. Exact values are rendered exactly in JSON ({num, den} rationals,
+{a, b, m} field elements); floats appear only in explicitly numeric fields,
+formatted to --precision significant digits, and every exact value shown as a
+float first passes one guard, which refuses a float that overflows or rounds
+a nonzero value to 0. CSV output uses '.' decimals and comma delimiters, and
+samplers emit strictly increasing x columns: a step that --precision cannot
+print apart is refused before any output.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from itertools import chain
 from typing import Any, Callable, Optional
 
 from . import congruence, errata, fibgroup, geometry, goldbach, metallic, perfect, pnum, verify
-from .errors import DomainError, EmptyInterval, InputTooLarge, NonPositiveParameter
+from .errors import DomainError, EmptyInterval, IndistinctSamples, InputTooLarge, NonPositiveParameter
 from .qfield import parse_quad, qf_make, rat_to_dict
 from .solver import (
     Quadratic,
@@ -52,12 +56,6 @@ class OutputConfig:
     format: str = "text"
     precision: int = 12
 
-    def __post_init__(self):
-        if self.format not in _FORMATS:
-            raise ValueError("format must be text, json, or csv")
-        if not 1 <= self.precision <= 30:
-            raise ValueError("precision must be in [1, 30]")
-
     def fnum(self, x: float) -> str:
         return f"{x:.{self.precision}g}"
 
@@ -79,8 +77,8 @@ class Output:
 def _json(value):
     """json.dump's default hook: the exact JSON form of a library value.
 
-    Fraction -> {num, den}; anything with to_dict() -> that dict; a dataclass
-    -> its fields in order; an iterator -> a list. json itself writes lists,
+    Fraction -> {num, den}; a QuadElem -> its to_dict(); a dataclass -> its
+    fields in order; an iterator -> a list. json itself writes lists,
     tuples and the library's str enums (as their value).
     """
     if isinstance(value, Fraction):
@@ -157,12 +155,17 @@ def _cmd_qfield(args, cfg: OutputConfig) -> Output:
         return Output([f"+root: {plus}", f"-root: {-plus}"], {"plus": plus, "minus": -plus})
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit, or 0 where it has none (before 3.11)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _check_printable(what: str, n: int, largest: Callable[[int], int]) -> None:
     """Refuse n when the largest integer printed at index n, largest(n), passes the int-to-str limit.
 
     Every largest() grows like phi^n: that estimates the cap, and exact comparisons settle it.
     """
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _digit_limit()
     if not digits:
         return
     cap = int(digits / math.log10(float(fibgroup.PHI)))
@@ -369,9 +372,11 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
         steps = (stop - start) // step
         if steps > _MAX_SAMPLE_STEPS:
             raise InputTooLarge(f"perfect plot takes at most {_MAX_SAMPLE_STEPS} steps, got {steps}")
+        end = start + steps * step
         # the parabola is convex, so its largest value on the plot is at an end
-        if max(abs(perfect.parabola(start)), abs(perfect.parabola(start + steps * step))) > sys.float_info.max:
-            raise InputTooLarge("perfect plot values would pass the float range")
+        _refuse_past_float_range("perfect plot", start, end, perfect.parabola(start), perfect.parabola(end))
+        if steps:
+            _refuse_indistinct_samples("perfect plot", step, max(abs(start), abs(end)), cfg)
 
         def samples():
             for k in range(steps + 1):
@@ -381,15 +386,6 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
         header = ["x", "fx"]
         lines = (f"{x},{fx}" for x, fx in chain([header], samples()))
         return Output(lines, {"rows": samples()}, chain([header], samples()))
-
-
-# verify_range holds a sieve and three integers of --to bits: 10^7 takes
-# ~2.5 s and ~47 MB, 10^8 ~53 s and ~320 MB, growing linearly from there.
-_GOLDBACH_VERIFY_MAX = 10**8
-
-# hypotenuse runs is_prime on H. A prime H costs a base-2 Miller-Rabin and a
-# strong Lucas test: ~0.2 s + ~0.6 s at 4096 bits, ~0.7 s + ~2.2 s at 6144.
-_HYPOTENUSE_MAX_BITS = 4096
 
 
 def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
@@ -419,10 +415,6 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
             },
         )
     if args.action == "verify":
-        if args.to > _GOLDBACH_VERIFY_MAX:
-            raise InputTooLarge(f"--to must be <= {_GOLDBACH_VERIFY_MAX}, got {args.to}")
-        if args.report:
-            open(args.report, "w").close()  # an unwritable path fails now, not after the scan
         summary = goldbach.verify_range(args.to, csv_path=args.report)
         lines = [
             f"verified {summary.count} even numbers in [{summary.start}, {summary.stop}]",
@@ -466,10 +458,6 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
         }
         return Output(lines, data)
     if args.action == "hypotenuse":
-        # H = (2n)^(2l) + I^(2l) has at most this many bits, plus one
-        bits = 2 * args.l * max(abs(2 * args.n), abs(args.i)).bit_length()
-        if bits > _HYPOTENUSE_MAX_BITS:
-            raise InputTooLarge(f"H would have about {bits} bits; at most {_HYPOTENUSE_MAX_BITS} are allowed")
         h, kind = goldbach.hypotenuse_number(args.n, args.i, args.l)
         return Output(
             [f"H = {h} ({kind.value})"],
@@ -507,13 +495,36 @@ _SOLID_ALIASES = {
 
 
 def _refuse_past_float_range(what: str, *values) -> None:
-    """Refuse, before any output, values whose float form overflows or comes out infinite."""
-    try:
-        finite = all(math.isfinite(float(value)) for value in values)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise InputTooLarge(f"{what} values would pass the float range")
+    """Refuse, before any output, values whose float overflows or is infinite, or is 0 for a nonzero value."""
+    for value in values:
+        try:
+            as_float = float(value)
+        except OverflowError:
+            as_float = math.inf
+        if not math.isfinite(as_float):
+            raise InputTooLarge(f"{what} values would pass the float range")
+        if as_float == 0 and value != 0:
+            raise InputTooLarge(f"{what} values would round to 0 as floats")
+
+
+# A float holds 15 significant decimal digits (DBL_DIG); digits printed past those are float noise.
+_FLOAT_DIGITS = 15
+
+
+def _refuse_indistinct_samples(what: str, step, largest, cfg: OutputConfig) -> None:
+    """Refuse, before any output, a sampler step that --precision cannot print apart at the largest |x|.
+
+    unit is one unit in the last printed digit of the largest |x|, counting at most the digits a float
+    holds. Printing moves each x by at most unit/2, and the float by less than unit/4, so consecutive x
+    at least 2 units apart print strictly increasing.
+    """
+    exponent = int(f"{float(largest):.{cfg.precision - 1}e}".partition("e")[2])  # the decade %g prints
+    least = 2 * Fraction(10) ** (exponent - min(cfg.precision, _FLOAT_DIGITS) + 1)
+    if step < least:
+        raise IndistinctSamples(
+            f"{what} step {float(step):g} is below {float(least):g}, the least that "
+            f"--precision {cfg.precision} prints apart at |x| = {float(largest):g}"
+        )
 
 
 def _cmd_geom(args, cfg: OutputConfig) -> Output:
@@ -553,6 +564,8 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
         if args.samples > _MAX_SAMPLE_STEPS:
             raise InputTooLarge(f"--samples must be <= {_MAX_SAMPLE_STEPS}, got {args.samples}")
         traj = geometry.trajectory(args.v0, args.beta, args.g)
+        if cfg.format == "csv":  # the only format that prints the samples
+            _refuse_indistinct_samples("geom trajectory", traj.range_x / args.samples, traj.range_x, cfg)
         lines = [
             f"y = {cfg.fnum(traj.a)}x^2 + {cfg.fnum(traj.b)}x",
             f"apex: ({cfg.fnum(traj.apex_x)}, {cfg.fnum(traj.apex_y)})",
@@ -612,7 +625,7 @@ def _literal(parse: Callable[[str], Any]) -> Callable[[str], Any]:
 
     def convert(text: str):
         mantissa, e, exponent = text.lower().partition("e")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _digit_limit()
         try:
             if limit:
                 runs = re.findall(r"\d+(?:_\d+)*", text)
@@ -631,8 +644,16 @@ def _literal(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     return convert
 
 
+_integer = _literal(int)
 _rational = _literal(Fraction)
 _field = _literal(parse_quad)
+
+
+def _precision(text: str) -> int:
+    digits = _integer(text)
+    if not 1 <= digits <= 30:
+        raise argparse.ArgumentTypeError(f"must be in [1, 30], got {digits}")
+    return digits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -652,7 +673,7 @@ class _Parser(argparse.ArgumentParser):
         for name in ("json", "csv"):
             flag(f"--{name}", dest="format", action="store_const", const=name, default=argparse.SUPPRESS,
                  help=f"shorthand for --format {name}")
-        flag("--precision", type=int, default=argparse.SUPPRESS, metavar="N", help="float digits (1..30)")
+        flag("--precision", type=_precision, default=argparse.SUPPRESS, metavar="N", help="float digits (1..30)")
         flag("--out", metavar="FILE", default=argparse.SUPPRESS, help="write output to FILE instead of stdout")
 
 
@@ -687,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = qf_sub.add_parser("make")
     ps.add_argument("a", type=_rational)
     ps.add_argument("b", type=_rational)
-    ps.add_argument("m", type=int)
+    ps.add_argument("m", type=_integer)
     ps = qf_sub.add_parser("op")
     ps.add_argument("operation", choices=_QF_OPS)
     ps.add_argument("z", type=_field)
@@ -695,19 +716,19 @@ def build_parser() -> argparse.ArgumentParser:
     for action in ("conj", "coords"):
         qf_sub.add_parser(action).add_argument("z", type=_field)
     ps = qf_sub.add_parser("sqrt")
-    ps.add_argument("m", type=int)
+    ps.add_argument("m", type=_integer)
 
     p = sub.add_parser("fib", help="Fibonacci power reduction, sums, unit groups")
     p.set_defaults(run=_cmd_fib)
     fib_sub = p.add_subparsers(dest="action", required=True)
     ps = fib_sub.add_parser("value")
-    ps.add_argument("n", type=int)
+    ps.add_argument("n", type=_integer)
     ps = fib_sub.add_parser("reduce")
     ps.add_argument("--case", choices=("I", "II"), required=True)
-    ps.add_argument("--n", type=int, required=True)
+    ps.add_argument("--n", type=_integer, required=True)
     ps = fib_sub.add_parser("sum")
     ps.add_argument("--case", choices=("I", "II", "III", "IV"), required=True)
-    ps.add_argument("--n", type=int, required=True)
+    ps.add_argument("--n", type=_integer, required=True)
     ps = fib_sub.add_parser("group")
     ps.add_argument("--case", choices=("III", "IV"), required=True)
 
@@ -715,37 +736,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_metallic)
     metal_sub = p.add_subparsers(dest="action", required=True)
     ps = metal_sub.add_parser("table")
-    ps.add_argument("--max-p", dest="max_p", type=int, default=4)
+    ps.add_argument("--max-p", dest="max_p", type=_integer, default=4)
     ps = metal_sub.add_parser("classify")
-    ps.add_argument("m", type=int)
+    ps.add_argument("m", type=_integer)
     ps = metal_sub.add_parser("creation")
-    ps.add_argument("m", type=int)
+    ps.add_argument("m", type=_integer)
     ps = metal_sub.add_parser("ledger")
-    ps.add_argument("--n", type=int, default=20)
+    ps.add_argument("--n", type=_integer, default=20)
     ps = metal_sub.add_parser("trig")
 
     p = sub.add_parser("cong", help="quadratic congruences mod an odd prime")
     p.set_defaults(run=_cmd_cong)
     cong_sub = p.add_subparsers(dest="action", required=True)
     ps = cong_sub.add_parser("legendre")
-    ps.add_argument("r", type=int)
-    ps.add_argument("p", type=int)
+    ps.add_argument("r", type=_integer)
+    ps.add_argument("p", type=_integer)
     ps = cong_sub.add_parser("sqrt")
-    ps.add_argument("r", type=int)
-    ps.add_argument("p", type=int)
+    ps.add_argument("r", type=_integer)
+    ps.add_argument("p", type=_integer)
     ps = cong_sub.add_parser("solve")
     for name in ("a", "b", "c", "p"):
-        ps.add_argument(name, type=int)
+        ps.add_argument(name, type=_integer)
     ps = cong_sub.add_parser("twosquares")
-    ps.add_argument("p", type=int)
+    ps.add_argument("p", type=_integer)
 
     p = sub.add_parser("perfect", help="perfect-number parabola: tables, preimages, areas, sampling")
     p.set_defaults(run=_cmd_perfect)
     perf_sub = p.add_subparsers(dest="action", required=True)
     ps = perf_sub.add_parser("table")
-    ps.add_argument("--max-exp", dest="max_exp", type=int, default=13)
+    ps.add_argument("--max-exp", dest="max_exp", type=_integer, default=13)
     ps = perf_sub.add_parser("preimage")
-    ps.add_argument("value", type=int)
+    ps.add_argument("value", type=_integer)
     ps = perf_sub.add_parser("areas")
     ps.add_argument("a", type=_rational)
     ps.add_argument("b", type=_rational)
@@ -758,29 +779,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_goldbach)
     gb_sub = p.add_subparsers(dest="action", required=True)
     ps = gb_sub.add_parser("witness")
-    ps.add_argument("n", type=int)
+    ps.add_argument("n", type=_integer)
     ps.add_argument("--all", action="store_true", help="list every witness, not just minimal I")
     ps = gb_sub.add_parser("verify")
-    ps.add_argument("--to", type=int, default=1_000_000)
+    ps.add_argument("--to", type=_integer, default=1_000_000)
     ps.add_argument("--report", metavar="CSV", default=None)
     ps = gb_sub.add_parser("areas")
-    ps.add_argument("p", type=int)
-    ps.add_argument("q", type=int)
+    ps.add_argument("p", type=_integer)
+    ps.add_argument("q", type=_integer)
     ps = gb_sub.add_parser("hypotenuse")
-    ps.add_argument("n", type=int)
-    ps.add_argument("i", type=int)
-    ps.add_argument("l", type=int, nargs="?", default=1)
+    ps.add_argument("n", type=_integer)
+    ps.add_argument("i", type=_integer)
+    ps.add_argument("l", type=_integer, nargs="?", default=1)
 
     p = sub.add_parser("pnum", help="repdigit p-numbers")
     p.set_defaults(run=_cmd_pnum)
     pn_sub = p.add_subparsers(dest="action", required=True)
     ps = pn_sub.add_parser("associate")
-    ps.add_argument("n", type=int)
+    ps.add_argument("n", type=_integer)
     ps = pn_sub.add_parser("root")
-    ps.add_argument("n", type=int)
+    ps.add_argument("n", type=_integer)
     ps = pn_sub.add_parser("parabola")
-    ps.add_argument("p", type=int)
-    ps.add_argument("t", type=int)
+    ps.add_argument("p", type=_integer)
+    ps.add_argument("t", type=_integer)
 
     p = sub.add_parser("geom", help="golden cut, Platonic solids, trajectories")
     p.set_defaults(run=_cmd_geom)
@@ -794,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("v0", type=float)
     ps.add_argument("beta", type=float)
     ps.add_argument("g", type=float, nargs="?", default=9.8)
-    ps.add_argument("--samples", type=int, default=20)
+    ps.add_argument("--samples", type=_integer, default=20)
 
     sub.add_parser("errata", help="the ledger of source-text discrepancies").set_defaults(run=_cmd_errata)
 
@@ -823,12 +844,8 @@ def _render(output: Output, cfg: OutputConfig, out_path: Optional[str]) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = OutputConfig(format=args.format, precision=args.precision)
-    except ValueError as exc:
-        parser.error(str(exc))
+    args = build_parser().parse_args(argv)
+    cfg = OutputConfig(format=args.format, precision=args.precision)
     try:
         output = args.run(args, cfg)
         _render(output, cfg, args.out)

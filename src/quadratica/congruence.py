@@ -9,11 +9,12 @@ split with Cornacchia's descent seeded by sqrt(-1) mod p.
 
 Composite, even, or prime-power moduli are rejected outright rather than
 partially supported. Each public function validates its modulus once, at
-entry; the internals (`_legendre`, `_sqrt_mod`, `_tonelli_shanks`) assume an
-odd prime and never test primality again. Where a composite that passed
-`is_prime` would break an identity they rely on (Euler's criterion, the
-order bound in Tonelli-Shanks), they raise CompositeModulus instead of
-returning a wrong answer or never returning.
+entry, and refuses one of more than intmath.PRIME_ARGUMENT_MAX_BITS (4096)
+bits before any primality test; the internals (`_legendre`, `_sqrt_mod`,
+`_tonelli_shanks`) assume an odd prime and never test primality again.
+Where a composite that passed `is_prime` would break an identity they rely
+on (Euler's criterion, the order bound in Tonelli-Shanks), they raise
+CompositeModulus instead of returning a wrong answer or never returning.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .errors import (
     CompositeModulus,
     DegenerateLeading,
     EvenModulusUnsupported,
+    InputTooLarge,
     NotRepresentable,
 )
-from .intmath import is_prime
+from .intmath import PRIME_ARGUMENT_MAX_BITS, is_prime
 
 __all__ = [
     "SolutionKind",
@@ -42,6 +44,8 @@ __all__ = [
 
 
 def _check_odd_prime(p: int) -> None:
+    if p.bit_length() > PRIME_ARGUMENT_MAX_BITS:
+        raise InputTooLarge(f"moduli have at most {PRIME_ARGUMENT_MAX_BITS} bits, got {p.bit_length()}")
     if p == 2:
         raise EvenModulusUnsupported("modulus 2 is not supported")
     if p < 3 or p % 2 == 0 or not is_prime(p):

@@ -9,7 +9,7 @@ rely on the ids staying stable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 __all__ = ["ErrataEntry", "ERRATA", "ERRATA_VERSION", "get_entry"]
 
@@ -24,9 +24,6 @@ class ErrataEntry:
     derived: str
     oracle: str
     kind: str = "erratum"  # or "note"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 ERRATA: tuple[ErrataEntry, ...] = (

@@ -40,6 +40,10 @@ class InputTooLarge(DomainError):
     """An input whose size maps straight to run time or output size is past its limit."""
 
 
+class IndistinctSamples(DomainError):
+    """A sampler step too fine for the printed precision to show consecutive x values apart."""
+
+
 # congruences
 class CompositeModulus(DomainError):
     """Modulus is not an odd prime."""

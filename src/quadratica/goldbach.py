@@ -23,6 +23,7 @@ import csv
 import enum
 import time
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -30,7 +31,7 @@ from typing import Iterator, Optional
 
 from .errors import EmptyInterval, EvenInput, InputTooLarge, InvalidPair, InvalidTarget
 from .errors import NonPositiveParameter, NoWitnessFound, NotCoprime
-from .intmath import is_prime, sieve_flags
+from .intmath import PRIME_ARGUMENT_MAX_BITS, is_prime, sieve_flags
 from .solver import Quadratic
 
 __all__ = [
@@ -53,6 +54,10 @@ _SIEVE_CAP = 10_000_000  # largest N witnesses() sieves to (10 MB)
 # Past the sieve find_witness tests candidates with is_prime. On 20 random even N per
 # size, 256 bits took a median of 0.2-0.4 s and at worst 1.6-2.4 s; 288 bits 2.1-2.7 s.
 _WITNESS_MAX_BITS = 256
+
+# verify_range holds a sieve and three integers of stop bits: 10^7 takes
+# ~2.5 s and ~47 MB, 10^8 ~53 s and ~320 MB, growing linearly from there.
+_VERIFY_MAX = 10**8
 
 _sieve: bytearray = bytearray()  # _sieve[k] == 1 iff k is prime; built by verify_range and witnesses
 
@@ -147,7 +152,13 @@ class WitnessParabola:
 
 
 def _check_pair(p: int, q: int) -> None:
-    """Raise InvalidPair unless p >= q are odd primes; the sieve decides when it covers p."""
+    """Raise InvalidPair unless p >= q are odd primes; the sieve decides when it covers p.
+
+    Either of more than PRIME_ARGUMENT_MAX_BITS bits raises InputTooLarge before any test.
+    """
+    bits = max(p.bit_length(), q.bit_length())
+    if bits > PRIME_ARGUMENT_MAX_BITS:
+        raise InputTooLarge(f"pair primes have at most {PRIME_ARGUMENT_MAX_BITS} bits, got {bits}")
     prime = _sieve.__getitem__ if p < len(_sieve) else is_prime
     if p < q or q < 3 or p % 2 == 0 or q % 2 == 0 or not (prime(p) and prime(q)):
         raise InvalidPair(f"need odd primes p >= q, got ({p}, {q})")
@@ -214,11 +225,16 @@ def hypotenuse_number(n: int, i: int, l: int = 1) -> tuple[int, HypClass]:
     """H = (2n)^(2l) + I^(2l) from the legs of a witness triangle.
 
     Needs n >= 1 and gcd(2n, I) = 1. Classifies H as prime, prime square, or
-    composite.
+    composite. H has at most 2l times the bit length of max(|2n|, |I|) bits,
+    plus one; past PRIME_ARGUMENT_MAX_BITS that raises InputTooLarge before
+    H is built.
     verify's hypotenuse-quotient checks the quotient identity
     ((p+q)^(2l) + (p-q)^(2l)) / 2^(2l) = (2n)^(2l) + I^(2l) with p = 2n + I,
     q = 2n - I.
     """
+    bits = 2 * l * max(abs(2 * n), abs(i)).bit_length()
+    if bits > PRIME_ARGUMENT_MAX_BITS:
+        raise InputTooLarge(f"H would have about {bits} bits; at most {PRIME_ARGUMENT_MAX_BITS} are allowed")
     if l < 1:
         raise NonPositiveParameter("exponent l must be >= 1")
     if n < 1:
@@ -272,40 +288,44 @@ def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> V
     the last non-empty mask gives n_at_max_i. When csv_path is given, the
     rows N, I_min, p, q are decoded from the same masks and written in N
     order. Raises NoWitnessFound, naming the smallest unresolved N, if I
-    passes stop/2 with an N left, i.e. never.
+    passes stop/2 with an N left, i.e. never. A stop past _VERIFY_MAX
+    raises InputTooLarge before csv_path is opened: a refused range never
+    creates or truncates it, and an unwritable one fails before the sieve.
     """
     global _sieve
+    if stop > _VERIFY_MAX:
+        raise InputTooLarge(f"range verification stops at <= {_VERIFY_MAX}, got {stop}")
     if start % 2:
         start += 1
     start = max(start, 4)
     if stop < start:
         raise EmptyInterval("empty range")
-    t0 = time.perf_counter()
-    if len(_sieve) <= stop:
-        _sieve = sieve_flags(stop)
-    primes = int(_sieve[: stop + 1].translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
-    m_lo, m_hi = start // 2, stop // 2
-    low_primes = primes & ((2 << m_hi) - 1)  # M - I <= m_hi
-    unresolved = ((1 << (m_hi - m_lo + 1)) - 1) << m_lo
-    i_min = array("I", [0]) * (m_hi - m_lo + 1) if csv_path else None
-    histogram = []
-    last = 0
-    i = 0
-    while unresolved:
-        if i > m_hi:
-            n = 2 * ((unresolved & -unresolved).bit_length() - 1)
-            raise NoWitnessFound(f"no witness below M for N={n}: Goldbach counterexample?")
-        found = unresolved & (primes >> i) & (low_primes << i)
-        if found:
-            unresolved ^= found
-            histogram.append((i, found.bit_count()))
-            last = found
-            if i_min is not None:
-                _mark(i_min, found >> m_lo, i)
-        i += 1
+    with open(csv_path, "w", newline="") if csv_path else nullcontext() as handle:
+        t0 = time.perf_counter()
+        if len(_sieve) <= stop:
+            _sieve = sieve_flags(stop)
+        primes = int(_sieve[: stop + 1].translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
+        m_lo, m_hi = start // 2, stop // 2
+        low_primes = primes & ((2 << m_hi) - 1)  # M - I <= m_hi
+        unresolved = ((1 << (m_hi - m_lo + 1)) - 1) << m_lo
+        i_min = array("I", [0]) * (m_hi - m_lo + 1) if csv_path else None
+        histogram = []
+        last = 0
+        i = 0
+        while unresolved:
+            if i > m_hi:
+                n = 2 * ((unresolved & -unresolved).bit_length() - 1)
+                raise NoWitnessFound(f"no witness below M for N={n}: Goldbach counterexample?")
+            found = unresolved & (primes >> i) & (low_primes << i)
+            if found:
+                unresolved ^= found
+                histogram.append((i, found.bit_count()))
+                last = found
+                if i_min is not None:
+                    _mark(i_min, found >> m_lo, i)
+            i += 1
 
-    if csv_path:
-        with open(csv_path, "w", newline="") as handle:
+        if handle:
             writer = csv.writer(handle)
             writer.writerow(["N", "I_min", "p", "q"])
             writer.writerows((2 * m, i, m + i, m - i) for m, i in zip(range(m_lo, m_hi + 1), i_min))

@@ -40,7 +40,6 @@ __all__ = [
     "qf_make",
     "parse_quad",
     "rat_to_dict",
-    "rat_from_dict",
 ]
 
 # Exact arbitrary-precision rationals: stdlib Fraction already guarantees
@@ -63,10 +62,6 @@ def rational(x: RatLike) -> Fraction:
 
 def rat_to_dict(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
-
-
-def rat_from_dict(d: dict) -> Fraction:
-    return Fraction(d["num"], d["den"])
 
 
 class QuadElem:
@@ -282,7 +277,8 @@ class QuadElem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuadElem":
-        return cls(rat_from_dict(d["a"]), rat_from_dict(d["b"]), d["m"])
+        a, b = d["a"], d["b"]
+        return cls(Fraction(a["num"], a["den"]), Fraction(b["num"], b["den"]), d["m"])
 
 
 def _raw(A: int, B: int, D: int, m: int) -> QuadElem:

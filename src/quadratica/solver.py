@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import DegenerateLeadingCoefficient, NonPositiveParameter
 from .intmath import squarefree_decompose
-from .qfield import QuadElem, RatLike, _reduced, rat_to_dict, rational
+from .qfield import QuadElem, RatLike, _reduced, rational
 
 __all__ = [
     "Quadratic",
@@ -89,9 +89,6 @@ class Quadratic:
         head = "x^2" if self.a == 1 else ("-x^2" if self.a == -1 else f"{self.a}x^2")
         out = head + term(self.b, "x") + term(self.c, "")
         return out
-
-    def to_dict(self) -> dict:
-        return {"a": rat_to_dict(self.a), "b": rat_to_dict(self.b), "c": rat_to_dict(self.c)}
 
 
 class RootKind(str, enum.Enum):

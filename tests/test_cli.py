@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -209,6 +210,29 @@ class TestNumberArguments:
         assert f"argument {name}: {literal[:20]}... has 641 digits in a row; at most 640 are allowed" in err
 
     @pytest.mark.parametrize(
+        "argv,name",
+        [(["fib", "value", "LITERAL"], "n"), (["cong", "legendre", "2", "LITERAL"], "p")],
+    )
+    def test_integer_past_the_limit_refused_in_its_own_words(self, capsys, argv, name):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-to-str digit limit")
+        literal = "7" * (limit + 700)
+        with pytest.raises(SystemExit) as exc:
+            main([literal if arg == "LITERAL" else arg for arg in argv])
+        err = capsys.readouterr().err
+        # argparse's own int reader echoed the whole literal back
+        assert exc.value.code == 2 and len(err.encode()) < 300
+        assert f"argument {name}: {literal[:20]}... has {limit + 700} digits in a row" in err
+
+    @pytest.mark.parametrize("digits", ["0", "31", "-1", "x"])
+    def test_precision_outside_its_range_is_a_usage_error(self, capsys, digits):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "1", "-1", "-1", "--precision", digits])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "argument --precision: " in err
+
+    @pytest.mark.parametrize(
         "literal,message",
         [("x", "Invalid literal for Fraction: 'x'"), ("1/0", "Fraction(1, 0)")],
     )
@@ -350,6 +374,18 @@ class TestGoldbachCommands:
         assert code == 1 and out == ""
         assert envelope["type"] == "InputTooLarge" and f"<= {10**8}" in envelope["message"]
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["cong", "legendre", "2", str(2**4096 + 1)], "moduli have at most 4096 bits, got 4097"),
+            (["cong", "twosquares", str(2**4096 + 1)], "moduli have at most 4096 bits, got 4097"),
+            (["goldbach", "areas", str(2**4096 + 1), "3"], "pair primes have at most 4096 bits, got 4097"),
+        ],
+    )
+    def test_prime_arguments_bounded_by_their_bits(self, capsys, argv, message):
+        # is_prime took ~3.8 s on 2^9689 - 1, and the digit limit lets an argument reach ~14,000 bits
+        assert refused_at_once(capsys, *argv) == message
+
     def test_witness_all_bounded_by_the_sieve_cap(self, capsys):
         code, out, err = run(capsys, "goldbach", "witness", str(10**7 + 2), "--all", "--json")
         envelope = json.loads(err)["error"]
@@ -397,6 +433,47 @@ class TestPerfectCommands:
         assert len(xs) == 301
         assert all(b > a for a, b in zip(xs, xs[1:]))
         assert xs[0] == -2.0 and xs[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # printed "1,6" 101 times
+            ["perfect", "plot", "--from", "1", "--to", "1.0000000000001", "--step", "0.000000000000001"],
+            # printed x = -2 twice
+            ["perfect", "plot", "--step", "1/3", "--precision", "1"],
+            # printed 189 distinct x values in 1001 rows
+            ["geom", "trajectory", "10", "0.785398", "--samples", "1000", "--precision", "2"],
+            # one unit apart: 3/2 and 5/2 both round to 2
+            ["perfect", "plot", "--from", "3/2", "--to", "5/2", "--step", "1", "--precision", "1"],
+            # 20 digits, but x values closer than a float's spacing share a float
+            ["perfect", "plot", "--from", "1", "--to", "1.0000000000000002", "--step", "1e-17", "--precision", "20"],
+        ],
+    )
+    def test_sampler_step_the_precision_cannot_print_apart_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--csv")
+        assert code == 1 and out == "" and "is below" in err
+        code, out, err = run(capsys, *argv, "--json")
+        if argv[0] == "perfect":  # its JSON holds the rows too
+            assert code == 1 and out == "" and json.loads(err)["error"]["type"] == "IndistinctSamples"
+        else:  # the trajectory prints its samples only as CSV
+            assert code == 0 and "range" in json.loads(out)
+
+    def test_accepted_steps_print_strictly_increasing(self, capsys):
+        # steps around the least the refusal allows, over random starts and precisions
+        rng = random.Random(20)
+        accepted = 0
+        for _ in range(300):
+            precision = rng.randint(1, 20)
+            start = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) * Fraction(10) ** rng.randint(-8, 8)
+            unit = Fraction(10) ** (len(str(abs(start.numerator) // start.denominator)) - min(precision, 15) + 1)
+            step = unit * Fraction(rng.randint(1, 40), 10)
+            argv = ["perfect", "plot", "--from", str(start), "--to", str(start + 20 * step), "--step", str(step)]
+            code, out, _ = run(capsys, *argv, "--precision", str(precision), "--csv")
+            if code == 0:
+                accepted += 1
+                xs = [float(row[0]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+                assert len(xs) == 21 and all(b > a for a, b in zip(xs, xs[1:])), argv
+        assert accepted > 100
 
     def test_areas(self, capsys):
         code, out, _ = run(capsys, "perfect", "areas", "-1", "-1/2")
@@ -476,6 +553,15 @@ class TestOtherCommands:
         # 5e102 fits every exact value's float, but the icosahedron's volume comes out as inf
         code, out, err = run(capsys, *argv, "--json")
         message = f"{argv[0]} {argv[1]} values would pass the float range"
+        assert code == 1 and out == "" and json.loads(err)["error"] == {"type": "InputTooLarge", "message": message}
+
+    @pytest.mark.parametrize(
+        "argv", [["geom", "platonic", "cube", "--edge", "1e-200"], ["geom", "goldencut", "1e-400"]]
+    )
+    def test_geom_below_the_float_range_refused_before_output(self, capsys, argv):
+        # these printed their volume, or a and b, as "= 0"
+        code, out, err = run(capsys, *argv, "--json")
+        message = f"{argv[0]} {argv[1]} values would round to 0 as floats"
         assert code == 1 and out == "" and json.loads(err)["error"] == {"type": "InputTooLarge", "message": message}
 
     def test_geom_goldencut(self, capsys):
@@ -737,7 +823,9 @@ class TestOSErrors:
         def scan(*args, **kwargs):
             raise AssertionError("the scan ran")
 
-        monkeypatch.setattr(cli.goldbach, "verify_range", scan)
+        # verify_range opens the report itself; with an empty prime table, a scan would sieve first
+        monkeypatch.setattr(goldbach, "_sieve", bytearray())
+        monkeypatch.setattr(goldbach, "sieve_flags", scan)
         report = str(tmp_path / "missing" / "x.csv")
         code, out, err = run(capsys, "goldbach", "verify", "--report", report, "--json")
         assert code == 1 and out == "" and json.loads(err)["error"]["type"] == "FileNotFoundError"

@@ -24,6 +24,7 @@ from quadratica.errors import (
     CompositeModulus,
     DegenerateLeading,
     EvenModulusUnsupported,
+    InputTooLarge,
     NotRepresentable,
 )
 from quadratica.intmath import sieve_flags
@@ -235,6 +236,23 @@ class TestModulusCheckedOnce:
             tested.clear()
             call(*args)
             assert tested == [73], call.__name__
+
+
+class TestModulusBits:
+    def test_past_4096_bits_refused_before_any_test(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("is_prime called on a modulus past the cap")
+
+        monkeypatch.setattr(congruence, "is_prime", refuse)
+        p = 2**4096 + 1
+        for call, args in [(legendre, (2, p)), (sqrt_mod, (2, p)), (solve_quad_mod, (1, 0, -2, p)), (two_squares, (p,))]:
+            with pytest.raises(InputTooLarge, match="at most 4096 bits, got 4097"):
+                call(*args)
+
+    def test_4096_bits_pass_the_cap(self):
+        # an even modulus of 4096 bits reaches the odd-prime check
+        with pytest.raises(CompositeModulus):
+            legendre(2, 2**4095)
 
 
 class TestIsPrime:

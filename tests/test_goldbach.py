@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from quadratica import goldbach
 from quadratica.errors import (
+    EmptyInterval,
     EvenInput,
     InputTooLarge,
     InvalidPair,
@@ -246,6 +247,18 @@ class TestWitnessAreas:
         with pytest.raises(InvalidPair):
             witness_areas(3, 3)
 
+    def test_bits_capped_before_any_primality_test(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("is_prime called on a prime past the cap")
+
+        monkeypatch.setattr(goldbach, "is_prime", refuse)
+        for call in (witness_areas, witness_parabola):
+            with pytest.raises(InputTooLarge, match="at most 4096 bits, got 4097"):
+                call(2**4096 + 1, 3)
+        # 4096 bits pass the cap; an even p is refused before its test
+        with pytest.raises(InvalidPair):
+            witness_areas(2**4095, 3)
+
     def test_random_pairs_exact(self):
         rng = random.Random(17)
         for _ in range(1000):
@@ -286,6 +299,16 @@ class TestHypotenuse:
     def test_coprimality_required(self):
         with pytest.raises(NotCoprime):
             hypotenuse_number(3, 3, 1)
+
+    def test_bits_capped_before_h_is_built(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("is_prime called on an H past the cap")
+
+        monkeypatch.setattr(goldbach, "is_prime", refuse)
+        # 2l * bit_length(2n) = 2 * 1025 * 2 = 4100; l = 10^9 would build a 4-billion-bit power
+        for l in (1025, 10**9):
+            with pytest.raises(InputTooLarge, match="at most 4096 are allowed"):
+                hypotenuse_number(1, 1, l)
 
     @given(
         st.integers(min_value=1, max_value=300),
@@ -330,6 +353,22 @@ class TestVerifyRange:
         assert sum(count for _, count in summary.histogram) == summary.count
         assert max(i for i, _ in summary.histogram) == summary.max_i
         assert summary.n_at_max_i == min(n for n, i, _, _ in rows if i == summary.max_i)
+
+    def test_stop_capped_before_the_sieve_and_the_report(self, tmp_path, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("sieved past the cap")
+
+        monkeypatch.setattr(goldbach, "_sieve", bytearray())
+        monkeypatch.setattr(goldbach, "sieve_flags", refuse)
+        path = tmp_path / "witnesses.csv"
+        with pytest.raises(InputTooLarge, match=f"<= {10**8}, got {10**8 + 2}"):
+            verify_range(10**8 + 2, csv_path=str(path))
+        assert not path.exists()
+        # nor does a refused range truncate an existing report
+        path.write_text("kept\n")
+        with pytest.raises(EmptyInterval):
+            verify_range(3, csv_path=str(path))
+        assert path.read_text() == "kept\n"
 
     def test_doctored_sieve_raises(self, monkeypatch):
         # with 3 marked composite, N = 6 = 3 + 3 loses its only witness
