@@ -436,7 +436,7 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
         return Output(lines, data)
     if args.action == "areas":
         report = goldbach.witness_areas(args.p, args.q)
-        parab = goldbach.witness_parabola(args.p, args.q)
+        parab = goldbach._parabola(args.p, args.q)  # witness_areas has checked the pair
         lines = [
             f"parabola: {parab.quadratic} with vertex ({parab.vertex_x}, {parab.vertex_y})",
             f"I = {report.I}",

@@ -170,6 +170,11 @@ def witness_parabola(p: int, q: int) -> WitnessParabola:
     verify's area-identities checks the roots with solve and the vertex value.
     """
     _check_pair(p, q)
+    return _parabola(p, q)
+
+
+def _parabola(p: int, q: int) -> WitnessParabola:
+    """witness_parabola for a pair already checked, as by witness_areas."""
     i = Fraction(p - q, 2)
     quadratic = Quadratic(1, -(p + q), p * q)
     return WitnessParabola(p=p, q=q, quadratic=quadratic, vertex_x=Fraction(p + q, 2), vertex_y=-(i * i))

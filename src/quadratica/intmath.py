@@ -12,7 +12,9 @@ proven; in the last a True is a probable prime and a False is proven.
 
 from __future__ import annotations
 
-from math import isqrt
+import threading
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from .errors import InputTooLarge
 
@@ -32,19 +34,24 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-# trial division tries primes up to this bound (~1.5 s when it runs to the end)
+# trial division tries primes up to this bound (~0.4 s cold when it runs to the end, ~0.02 s warm)
 _TRIAL_DIVISION_LIMIT = 10**7
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = s^2 * m with s > 0 and m squarefree (sign of n kept on m).
 
-    Trial division runs up to the cube root of the unfactored part, or to
-    _TRIAL_DIVISION_LIMIT if that comes first. A remainder below the cube of
-    the next candidate has at most two prime factors, so its square part is
-    either trivial or the whole remainder. A larger remainder is decided only
-    if it is a perfect square or a proven prime (below psi_13); any other
-    raises InputTooLarge rather than guess its square part.
+    Batched trial division (Bernstein, "How to find smooth parts of
+    integers", 2004, in its simplest form): the gcd g of n with the product of
+    a chunk of consecutive primes is the product of the chunk's primes that
+    divide n, and dividing n by g, then by gcd(n, g), and so on, peels their
+    powers without dividing by any prime alone. The chunks run up to the cube
+    root of the unfactored part, and no prime past _TRIAL_DIVISION_LIMIT
+    (10^7) is divided out. A remainder below the cube of the next untried
+    prime has at most two prime factors, so its square part is either trivial
+    or the whole remainder. A larger remainder is decided only if it is a
+    perfect square or a proven prime (below psi_13); any other raises
+    InputTooLarge rather than guess its square part.
     """
     if n == 0:
         raise ValueError("0 has no squarefree decomposition")
@@ -56,28 +63,39 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     whole = n
     s = 1
     m = 1
-    p = 2
-    # the limit folds into the loop bound, which shrinks with n as factors are found
-    cap = _TRIAL_DIVISION_LIMIT * _TRIAL_DIVISION_LIMIT * _TRIAL_DIVISION_LIMIT
-    bound = n if n < cap else cap
-    while p * p * p <= bound:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                m *= p
-            if n < bound:
-                bound = n
-        p += 1 if p == 2 else 2
-    # no prime below p divides the remainder n
+    limit = _TRIAL_DIVISION_LIMIT
+    p = 2  # every prime below p has been tried
+    k = 0
+    while p <= limit and p * p * p <= n:
+        if k == len(_chunks):
+            _extend_chunks(n, limit)
+        product, candidates = _chunks[k]
+        last = candidates[-1]
+        g = gcd(n, product)
+        if g != 1:
+            if last > limit:
+                # the chunk that holds the limit: keep only its primes up to the limit
+                g = prod(q for q in candidates if q <= limit and g % q == 0)
+            # g is the product of the primes of n that are left to peel; round j takes one more power
+            # of each, so a prime of exponent e meets e // 2 even rounds and leaves in round e
+            j = 0
+            while g != 1:
+                n //= g
+                j += 1
+                h = gcd(n, g)
+                if j % 2:
+                    m *= g // h
+                else:
+                    s *= g
+                g = h
+        p = last + 1
+        k += 1
+    # no prime below p, nor up to the limit if p passed it, divides the remainder n
     if n > 1:
         r = isqrt(n)
         if r * r == n:
             s *= r
-        elif p * p * p <= n and not (n < _PSI_13 and is_prime(n)):
+        elif p > limit and (limit + 1) ** 3 <= n and not (n < _PSI_13 and is_prime(n)):
             raise InputTooLarge(
                 f"cannot find the square part of {sign * whole}: trial division to {_TRIAL_DIVISION_LIMIT} "
                 f"leaves {n}, neither a square nor a proven prime"
@@ -208,3 +226,40 @@ def sieve_flags(limit: int) -> bytearray:
             start = p * p
             flags[start : limit + 1 : p] = bytearray(len(range(start, limit + 1, p)))
     return flags
+
+
+# The trial-division chunks, as (product of the chunk's primes, candidates in increasing order).
+# The first holds every prime below 256 and is built at import, so a small radicand costs one gcd.
+# Each later chunk holds the odd numbers of one _CHUNK_WIDTH-long interval past 256 and is built
+# when first needed; a composite candidate has a prime factor below the chunk, so it never
+# divides the gcd. A product has about 1.44 * _CHUNK_WIDTH bits: ~2 MB up to 10^7.
+_FIRST_CHUNK_END = 256
+_CHUNK_WIDTH = 4096
+_FIRST_PRIMES = tuple(compress(range(_FIRST_CHUNK_END), sieve_flags(_FIRST_CHUNK_END - 1)))
+_chunks: list[tuple[int, tuple[int, ...] | range]] = [(prod(_FIRST_PRIMES), _FIRST_PRIMES)]
+_chunks_lock = threading.Lock()
+
+
+def _extend_chunks(n: int, limit: int) -> None:
+    """Append the next chunk, and those after it that start below both the cube root of n and the limit."""
+    with _chunks_lock:
+        lo = _FIRST_CHUNK_END + (len(_chunks) - 1) * _CHUNK_WIDTH
+        hi = lo + _CHUNK_WIDTH
+        while hi <= limit and hi * hi * hi <= n:
+            hi += _CHUNK_WIDTH
+        # a sieve of the odd numbers in [lo, hi): flags[i] stands for lo + 1 + 2i
+        flags = bytearray([1]) * ((hi - lo) // 2)
+        r = isqrt(hi)
+        for p in compress(range(3, r + 1, 2), sieve_flags(r)[3::2]):
+            start = max(p * p, (lo // p + 1) * p)
+            if start % 2 == 0:
+                start += p
+            i = (start - lo - 1) // 2
+            flags[i::p] = bytes(len(range(i, len(flags), p)))
+        # compress picks from one tuple of offsets, so only the primes become new ints
+        offsets = tuple(range(1, _CHUNK_WIDTH, 2))
+        view = memoryview(flags)
+        for c in range(lo, hi, _CHUNK_WIDTH):
+            i = (c - lo) // 2
+            primes = map(c.__add__, compress(offsets, view[i : i + _CHUNK_WIDTH // 2]))
+            _chunks.append((prod(primes), range(c + 1, c + _CHUNK_WIDTH, 2)))

@@ -9,13 +9,17 @@ Storage: four ints ``(A, B, D, m)`` with ``a = A/D`` and ``b = B/D``, an
 integer numerator vector over one common denominator, as PARI/GP and FLINT's
 ``nf_elem`` store number-field elements. The stored form is canonical:
 ``D > 0``, ``gcd(A, B, D) == 1``, and ``m`` is squarefree, or ``m == 0``
-exactly when ``B == 0``. The public constructor extracts square factors from
-the radicand (``sqrt(12)`` becomes ``2*sqrt(3)``) and folds a perfect-square
+exactly when ``B == 0``. The public constructor and :func:`parse_quad` build
+through one private ``_build``, which extracts square factors from the
+radicand (``sqrt(12)`` becomes ``2*sqrt(3)``) and folds a perfect-square
 radicand into the rational part. Arithmetic results already carry a
-squarefree radicand, so each operation reduces its result with one gcd and
-never re-factors ``m``. Structural equality on the canonical form is exact
-value equality. Elements of different fields may interact only when one of
-them is rational; anything else raises
+squarefree radicand, so each operation, division included, reduces its
+result with one gcd and never re-factors ``m``. Text goes both ways on the
+int slots: ``str`` prints ``A/D`` and ``B/D`` after one gcd each, and
+:func:`parse_quad` reads integer numerators and denominators straight from the
+text, with no ``Fraction`` in between. Structural equality on the canonical
+form is exact value equality. Elements of different fields may interact only
+when one of them is rational; anything else raises
 :class:`~quadratica.errors.MixedRadicands` rather than silently coercing.
 
 The coordinate map ``a + b*sqrt(m) -> (a, b)`` is an additive bijection onto
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import DivisionByZero, MixedRadicands, PerfectSquareRadicand
 from .intmath import is_square, squarefree_decompose
@@ -51,10 +55,10 @@ RatLike = Union[int, Fraction, str]
 
 def rational(x: RatLike) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact rational."""
+    if isinstance(x, int):  # first: for an int, isinstance(x, Fraction) walks the numbers ABCs
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
@@ -75,20 +79,11 @@ class QuadElem:
     __slots__ = ("_A", "_B", "_D", "_m")
 
     def __new__(cls, a: RatLike, b: RatLike, m: int) -> "QuadElem":
-        a = rational(a)
-        b = rational(b)
-        if b == 0 or m == 0:
-            b, m = Fraction(0), 0
-        else:
-            s, m = squarefree_decompose(m)
-            if s != 1:
-                b = b * s
-            if m == 1:
-                # b*sqrt(s^2) is rational: fold it into the rational part
-                a, b, m = a + b, Fraction(0), 0
-        da, db = a.denominator, b.denominator
-        d = math.lcm(da, db)
-        return _reduced(a.numerator * (d // da), b.numerator * (d // db), d, m)
+        if not isinstance(a, (int, Fraction)):
+            a = rational(a)
+        if not isinstance(b, (int, Fraction)):
+            b = rational(b)
+        return _build(a.numerator, a.denominator, b.numerator, b.denominator, m)
 
     # -- constructors -------------------------------------------------
 
@@ -170,7 +165,11 @@ class QuadElem:
         w = _coerce(other)
         if w is NotImplemented:
             return NotImplemented
-        return self + (-w)
+        m = _radicand(self, w)
+        d1, d2 = self._D, w._D
+        if d1 == d2:
+            return _reduced(self._A - w._A, self._B - w._B, d1, m)
+        return _reduced(self._A * d2 - w._A * d1, self._B * d2 - w._B * d1, d1 * d2, m)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -198,13 +197,22 @@ class QuadElem:
         w = _coerce(other)
         if w is NotImplemented:
             return NotImplemented
-        return self * w.inverse()
+        a1, b1, a2, b2 = self._A, self._B, w._A, w._B
+        if not (a2 or b2):
+            raise DivisionByZero("zero element has no inverse")
+        m = _radicand(self, w)
+        # (A1 + B1*sqrt(m))/D1 over (A2 + B2*sqrt(m))/D2, both times the conjugate A2 - B2*sqrt(m);
+        # the norm A2^2 - m*B2^2 vanishes only at zero, as in inverse
+        d2 = w._D
+        return _reduced(
+            d2 * (a1 * a2 - m * b1 * b2), d2 * (b1 * a2 - a1 * b2), self._D * (a2 * a2 - m * b2 * b2), m
+        )
 
     def __rtruediv__(self, other):
         w = _coerce(other)
         if w is NotImplemented:
             return NotImplemented
-        return w * self.inverse()
+        return w / self
 
     def __neg__(self):
         return _raw(-self._A, -self._B, self._D, self._m)
@@ -258,16 +266,15 @@ class QuadElem:
     # -- rendering ------------------------------------------------------
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        mag = abs(b)
-        coef = "" if mag == 1 else str(mag)
+        A, B, D = self._A, self._B, self._D
+        if not B:
+            return _ratio_text(A, D)
+        coef = "" if B == D or B == -D else _ratio_text(abs(B), D)
         radical = f"{coef}√{self._m}"
-        if a == 0:
-            return radical if b > 0 else f"-{radical}"
-        sign = "+" if b > 0 else "-"
-        return f"{a} {sign} {radical}"
+        if not A:
+            return radical if B > 0 else f"-{radical}"
+        sign = "+" if B > 0 else "-"
+        return f"{_ratio_text(A, D)} {sign} {radical}"
 
     def __repr__(self) -> str:
         return f"QuadElem({self.a}, {self.b}, {self._m})"
@@ -307,6 +314,32 @@ def _reduced(A: int, B: int, D: int, m: int) -> QuadElem:
         B //= g
         D //= g
     return _raw(A, B, D, m)
+
+
+def _build(an: int, ad: int, bn: int, bd: int, m: int) -> QuadElem:
+    """an/ad + (bn/bd)*sqrt(m) in canonical form, for ad, bd > 0 and any radicand m.
+
+    The one place that factors a radicand: sqrt(12) becomes 2*sqrt(3), and
+    a perfect-square radicand folds into the rational part.
+    """
+    if not bn or not m:
+        return _reduced(an, 0, ad, 0)
+    s, m = squarefree_decompose(m)
+    if m == 1:
+        return _reduced(an * bd + bn * s * ad, 0, ad * bd, 0)
+    return _reduced(an * bd, bn * s * ad, ad * bd, m)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms as Fraction prints it: 'n', or 'n/d' for d > 1 (d > 0)."""
+    if d != 1:
+        g = math.gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        if d != 1:
+            return f"{n}/{d}"
+    return str(n)
 
 
 def _coerce(x):
@@ -354,23 +387,38 @@ def qf_make(a: RatLike, b: RatLike, m: int) -> QuadElem:
 # text round-trip
 # ----------------------------------------------------------------------
 
-_RAT = r"-?\d+(?:/\d+)?"
 _QUAD_RE = re.compile(
-    rf"^\s*(?:(?P<a>{_RAT})\s*(?P<op>[+-])\s*|(?P<bsign>-)\s*)?"
-    rf"(?P<coef>\d+(?:/\d+)?)?\s*√\s*(?P<m>-?\d+)\s*$"
+    r"^\s*(?:(?P<an>-?\d+)(?:/(?P<ad>\d+))?\s*(?P<op>[+-])\s*|(?P<bsign>-)\s*)?"
+    r"(?:(?P<bn>\d+)(?:/(?P<bd>\d+))?)?\s*√\s*(?P<m>-?\d+)\s*$"
 )
 
 
+def _int_ratio(num: str, den: Optional[str]) -> tuple[int, int]:
+    """The digits of num[/den] as ints, raising Fraction's ZeroDivisionError for a zero den."""
+    n = int(num)
+    if den is None:
+        return n, 1
+    d = int(den)
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    return n, d
+
+
 def parse_quad(text: str) -> QuadElem:
-    """Parse the canonical rendering 'a + b√m' (or a bare rational) bit-exactly."""
+    """Parse the canonical rendering 'a + b√m' (or a bare rational) bit-exactly.
+
+    Any spelling of a, b and m is accepted and canonicalized as QuadElem(a, b, m)
+    would: '√12' reads as 2√3 and '√4' as 2.
+    """
     text = text.strip()
     if "√" not in text:
         return QuadElem.from_rational(Fraction(text))
     match = _QUAD_RE.match(text)
     if not match:
         raise ValueError(f"not a quadratic-field literal: {text!r}")
-    a = Fraction(match.group("a")) if match.group("a") else Fraction(0)
-    b = Fraction(match.group("coef")) if match.group("coef") else Fraction(1)
-    if match.group("op") == "-" or match.group("bsign"):
-        b = -b
-    return QuadElem(a, b, int(match.group("m")))
+    an, ad, op, bsign, bn, bd, m = match.groups()
+    an, ad = _int_ratio(an, ad) if an else (0, 1)
+    bn, bd = _int_ratio(bn, bd) if bn else (1, 1)
+    if op == "-" or bsign:
+        bn = -bn
+    return _build(an, ad, bn, bd, int(m))

@@ -46,9 +46,10 @@ class Quadratic:
     c: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", rational(self.a))
-        object.__setattr__(self, "b", rational(self.b))
-        object.__setattr__(self, "c", rational(self.c))
+        for name in ("a", "b", "c"):
+            value = getattr(self, name)
+            if type(value) is not Fraction:  # an exact type test skips the numbers.Rational ABC check
+                object.__setattr__(self, name, rational(value))
         if self.a == 0:
             raise DegenerateLeadingCoefficient("leading coefficient must be nonzero")
 

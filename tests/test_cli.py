@@ -364,6 +364,19 @@ class TestGoldbachCommands:
         assert Fraction(payload["A_s"]["num"], payload["A_s"]["den"]) == Fraction(500, 3)
         assert payload["I"] == 5
 
+    def test_areas_tests_each_prime_once(self, capsys, monkeypatch):
+        tested = []
+
+        def counting_is_prime(n):
+            tested.append(n)
+            return intmath.is_prime(n)
+
+        monkeypatch.setattr(goldbach, "is_prime", counting_is_prime)
+        p, q = 2**61 - 1, 2**31 - 1  # both past any sieve the suite builds
+        code, out, _ = run(capsys, "goldbach", "areas", str(p), str(q))
+        assert code == 0 and f"I = {(p - q) // 2}" in out
+        assert tested == [p, q]
+
     def test_odd_target_fails(self, capsys):
         code, _, err = run(capsys, "goldbach", "witness", "7")
         assert code == 1

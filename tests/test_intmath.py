@@ -1,5 +1,7 @@
 """Integer helpers: squarefree decomposition and primality."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,6 +62,28 @@ class TestSquarefree:
         with pytest.raises(ValueError):
             squarefree_decompose(0)
 
+    # the primes on either side of the first three chunk edges, and the prime after
+    EDGES = [
+        (intmath._FIRST_CHUNK_END + k * intmath._CHUNK_WIDTH, below, above, after)
+        for k, (below, above, after) in enumerate([(251, 257, 263), (4349, 4357, 4363), (8447, 8461, 8467)])
+    ]
+
+    def test_edges_are_where_the_primes_say(self):
+        for edge, below, above, after in self.EDGES:
+            assert below < edge < above
+            primes = [n for n in range(below, after + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
+            assert primes == [below, above, after]
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_primes_around_a_chunk_edge(self, k):
+        _, b, a, c = self.EDGES[k]
+        cases = [b, a, b * b, a * a, b * a, b * b * a * c, a * a * b * c, (b * a) ** 2 * c, b**3 * a**2, a**3 * c]
+        if k < 2:
+            cases.append(b * a * c)  # the oracle takes ~sqrt(n) steps on a squarefree n
+        for n in cases:
+            for signed in (n, -n):
+                assert squarefree_decompose(signed) == naive_squarefree(signed), signed
+
 
 class TestTrialDivisionLimit:
     """With the limit at 10, primes up to 10 are tried and 11^3 = 1331 is the next cube."""
@@ -83,6 +107,17 @@ class TestTrialDivisionLimit:
     def test_below_the_next_cube_decided(self):
         # 31 * 37 = 1147 is past 10^3 but below 11^3, so it has at most two prime factors
         assert squarefree_decompose(31 * 37) == (1, 1147)
+
+    def test_after_chunks_past_the_limit_were_built(self, monkeypatch):
+        monkeypatch.setattr(intmath, "_TRIAL_DIVISION_LIMIT", 10**7)
+        assert squarefree_decompose(4999 * 5003 * 5009) == (1, 4999 * 5003 * 5009)  # past 4352^3
+        assert len(intmath._chunks) >= 3
+        monkeypatch.setattr(intmath, "_TRIAL_DIVISION_LIMIT", 10)
+        assert squarefree_decompose(2 * 1009**2) == (1009, 2)
+        assert squarefree_decompose(-2 * 1000003) == (1, -2000006)
+        assert squarefree_decompose(31 * 37) == (1, 1147)
+        with pytest.raises(InputTooLarge, match=str(3 * 1009 * 1013 * 1019)):
+            squarefree_decompose(3 * 1009 * 1013 * 1019)
 
 
 class TestPrimality:
@@ -111,6 +146,13 @@ class TestPrimality:
     def test_primes_at_the_2_64_band_edge(self):
         assert is_prime(2**64 - 59) and is_prime(2**64 + 13)
         assert not is_prime(2**64 - 1) and not is_prime(2**64 + 1)
+
+    def test_sorenson_webster_bases(self):
+        # the 13 bases are proven only as this exact set: psi_12 fools the first 12, nothing below psi_13 fools all 13
+        assert intmath._MR_WITNESSES == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+        psi_12, psi_13 = 318665857834031151167461, 3317044064679887385961981
+        assert intmath._PSI_13 == psi_13
+        assert not is_prime(psi_12) and not is_prime(psi_13)
 
     def test_large_known(self):
         assert is_prime(2**89 - 1)

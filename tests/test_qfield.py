@@ -225,6 +225,65 @@ class TestTextRoundTrip:
             parse_quad("3 + sqrt(5)")
 
 
+def ref_render(a: Fraction, b: Fraction, m: int) -> str:
+    """Oracle: the rendering 'a + b√m' built from Fraction coordinates."""
+    if b == 0:
+        return str(a)
+    coef = "" if abs(b) == 1 else str(abs(b))
+    radical = f"{coef}√{m}"
+    if a == 0:
+        return radical if b > 0 else f"-{radical}"
+    return f"{a} {'+' if b > 0 else '-'} {radical}"
+
+
+wide_rationals = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**12)
+
+
+class TestIntegerText:
+    """str and parse_quad work on the int slots; the oracles here build Fractions."""
+
+    @given(wide_rationals, wide_rationals, radicands)
+    def test_str_matches_fraction_rendering(self, a, b, m):
+        z = QuadElem(a, b, m)
+        assert str(z) == ref_render(z.a, z.b, z.m)
+
+    @pytest.mark.parametrize(
+        "text,a,b,m",
+        [
+            ("√12", "0", "1", 12),
+            ("2/4 + 6/3√8", "2/4", "6/3", 8),
+            ("√4", "0", "1", 4),
+            ("-√-1", "0", "-1", -1),
+            ("0√5", "0", "0", 5),
+            ("1/2 - 0√5", "1/2", "0", 5),
+            ("007/014 + 0003/009√0012", "7/14", "3/9", 12),
+            ("-006 - 04√-0018", "-6", "-4", -18),
+            ("3 + 2√-4", "3", "2", -4),
+        ],
+    )
+    def test_parse_non_canonical_spellings(self, text, a, b, m):
+        z = parse_quad(text)
+        assert z == QuadElem(Fraction(a), Fraction(b), m)
+        assert_canonical(z)
+
+    @pytest.mark.parametrize(
+        "text,bad", [("1/0 + √2", "1/0"), ("-3/0 + √2", "-3/0"), ("3 - 1/0√2", "1/0"), ("1/0 + 2/0√2", "1/0")]
+    )
+    def test_zero_denominator_raises_as_fraction_does(self, text, bad):
+        with pytest.raises(ZeroDivisionError) as want:
+            Fraction(bad)
+        with pytest.raises(ZeroDivisionError) as got:
+            parse_quad(text)
+        assert str(got.value) == str(want.value)
+
+    @given(radicands.flatmap(lambda m: st.tuples(elems(m), elems(m))))
+    def test_division_is_multiplication_by_the_inverse(self, pair):
+        z, w = pair
+        if w:
+            assert z / w == z * w.inverse()
+            assert 3 / w == 3 * w.inverse()
+
+
 # ---------------------------------------------------------------- integer core
 
 
