@@ -64,14 +64,28 @@ PHI_BAR = PHI.conj()
 
 
 def _fib_pair(k: int) -> tuple[int, int]:
-    """Zero-based (F(k), F(k+1)), F(0) = 0, for k >= 0, by fast doubling over the bits of k."""
-    # (F(j), F(j+1)) -> (F(2j), F(2j+1)) = (F(j)(2F(j+1) - F(j)), F(j)^2 + F(j+1)^2)
-    a, b = 0, 1
+    """Zero-based (F(k), F(k+1)), F(0) = 0, for k >= 0, by doubling over the bits of k.
+
+    The loop carries (F(j-1), F(j)) from (F(-1), F(0)) = (1, 0) and doubles it
+    with two squares, as GMP's mpz_fib_ui does:
+
+        F(2j+1) = 4*F(j)^2 - F(j-1)^2 + 2*(-1)^j
+        F(2j-1) = F(j)^2 + F(j-1)^2
+        F(2j)   = F(2j+1) - F(2j-1)
+
+    A set bit keeps (F(2j), F(2j+1)), a clear one (F(2j-1), F(2j)).
+    """
+    prev, cur = 1, 0
+    sign = 2  # 2*(-1)^j
     for bit in bin(k)[2:]:
-        a, b = a * (2 * b - a), a * a + b * b
+        cur_sq, prev_sq = cur * cur, prev * prev
+        odd = 4 * cur_sq - prev_sq + sign
+        prev = cur_sq + prev_sq
         if bit == "1":
-            a, b = b, a + b
-    return a, b
+            prev, cur, sign = odd - prev, odd, -2
+        else:
+            cur, sign = odd - prev, 2
+    return cur, prev + cur
 
 
 def fib(n: int) -> int:

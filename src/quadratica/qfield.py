@@ -14,12 +14,15 @@ through one private ``_build``, which extracts square factors from the
 radicand (``sqrt(12)`` becomes ``2*sqrt(3)``) and folds a perfect-square
 radicand into the rational part. Arithmetic results already carry a
 squarefree radicand, so each operation, division included, reduces its
-result with one gcd and never re-factors ``m``. Text goes both ways on the
-int slots: ``str`` prints ``A/D`` and ``B/D`` after one gcd each, and
-:func:`parse_quad` reads integer numerators and denominators straight from the
-text, with no ``Fraction`` in between. Structural equality on the canonical
-form is exact value equality. Elements of different fields may interact only
-when one of them is rational; anything else raises
+result with one gcd and never re-factors ``m``. ``z**n`` goes left to right
+over the bits of n: each bit squares through the private ``_square`` (three
+squares, where a general ``*`` takes four products), and a set bit multiplies
+by the small base ``z``, so no step multiplies two big operands.
+Text goes both ways on the int slots: ``str`` prints ``A/D`` and ``B/D`` after
+one gcd each, and :func:`parse_quad` reads integer numerators and denominators
+straight from the text, with no ``Fraction`` in between. Structural equality
+on the canonical form is exact value equality. Elements of different fields
+may interact only when one of them is rational; anything else raises
 :class:`~quadratica.errors.MixedRadicands` rather than silently coercing.
 
 The coordinate map ``a + b*sqrt(m) -> (a, b)`` is an additive bijection onto
@@ -172,7 +175,10 @@ class QuadElem:
         return _reduced(self._A * d2 - w._A * d1, self._B * d2 - w._B * d1, d1 * d2, m)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        w = _coerce(other)
+        if w is NotImplemented:
+            return NotImplemented
+        return w - self
 
     def __mul__(self, other):
         w = _coerce(other)
@@ -218,19 +224,24 @@ class QuadElem:
         return _raw(-self._A, -self._B, self._D, self._m)
 
     def __pow__(self, n: int) -> "QuadElem":
+        """self**n by left-to-right binary powering over the bits of n.
+
+        Each bit squares the result through ``_square``, and a set bit then
+        multiplies it by the small base ``self``. Every element, zero included,
+        to the power 0 is 1; a negative power of zero raises DivisionByZero.
+        """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return _ONE if result is None else result
+        if not n:
+            return _ONE
+        result = self
+        for bit in bin(n)[3:]:
+            result = _square(result)
+            if bit == "1":
+                result = result * self
+        return result
 
     # -- comparisons / embeddings ---------------------------------------
 
@@ -314,6 +325,19 @@ def _reduced(A: int, B: int, D: int, m: int) -> QuadElem:
         B //= g
         D //= g
     return _raw(A, B, D, m)
+
+
+def _square(z: QuadElem) -> QuadElem:
+    """z*z = (A^2 + m*B^2 + 2AB*sqrt(m)) / D^2 from three squares of big operands.
+
+    2AB is taken as (A + B)^2 - A^2 - B^2, since CPython squares faster than it
+    multiplies. A rational z needs no gcd: gcd(A, D) = 1 gives gcd(A^2, D^2) = 1.
+    """
+    A, B, D, m = z._A, z._B, z._D, z._m
+    if not B:
+        return _raw(A * A, 0, D * D, 0)
+    a2, b2, s = A * A, B * B, A + B
+    return _reduced(a2 + m * b2, s * s - a2 - b2, D * D, m)
 
 
 def _build(an: int, ad: int, bn: int, bd: int, m: int) -> QuadElem:

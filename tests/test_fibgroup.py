@@ -11,6 +11,7 @@ from quadratica.fibgroup import (
     PHI_BAR,
     Case,
     FibPair,
+    _fib_pair,
     case_root,
     closed_power_sum,
     fib,
@@ -72,6 +73,18 @@ class TestFib:
             assert fib(n) == a, n
             a, b = b, a + b
 
+    def test_zero(self):
+        assert fib(0) == 1
+
+    def test_pair_against_the_recurrence(self):
+        # zero-based (F(k), F(k+1)) for every k < 3000 and on both sides of each power of two to 2^16
+        wanted = set(range(3000)) | {n for j in range(17) for n in (2**j - 1, 2**j, 2**j + 1)}
+        a, b = 0, 1
+        for k in range(max(wanted) + 1):
+            if k in wanted:
+                assert _fib_pair(k) == (a, b), k
+            a, b = b, a + b
+
     def test_cassini_at_ten_to_the_fifth(self):
         # seeds f0 = f1 = 1 shift Cassini's F(n-1)F(n+1) - F(n)^2 = (-1)^n by one
         n = 10**5
@@ -113,6 +126,10 @@ class TestPowerReduce:
         assert power_reduce(case, n) == want
         x = case_root(case)
         assert x**n == want.coeff * x + want.const
+
+    @pytest.mark.parametrize("case", [Case.I, Case.II])
+    def test_first_power(self, case):
+        assert power_reduce(case, 1) == FibPair(1, 0)
 
     def test_bad_index(self):
         with pytest.raises(NegativeIndex):

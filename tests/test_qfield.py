@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quadratica.errors import DivisionByZero, MixedRadicands, PerfectSquareRadicand
+from quadratica.metallic import metallic
 from quadratica.qfield import (
     BigRational,
     QuadElem,
@@ -411,6 +412,71 @@ class TestIntegerCore:
             assert matches(z / w, ref_mul(p, ref_inverse(q, m), m), m)
         if z or k >= 0:
             assert matches(z**k, ref_pow(p, k, m), m)
+
+
+def metallic_powers(k: int, ns):
+    """{n: (U(n), U(n-1))} for U(0) = 0, U(1) = 1, U(n+1) = k*U(n) + U(n-1).
+
+    The metallic mean sigma_k is a root of x^2 = k*x + 1, so sigma_k^n = U(n)*sigma_k + U(n-1).
+    """
+    wanted, out = set(ns), {}
+    prev, cur = 1, 0  # U(-1), U(0)
+    for n in range(max(wanted) + 1):
+        if n in wanted:
+            out[n] = (cur, prev)
+        prev, cur = cur, k * cur + prev
+    return out
+
+
+BIT_EDGES = sorted({n for j in range(15) for n in (2**j - 1, 2**j, 2**j + 1)} | {20000})
+
+
+class TestBigPowers:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_metallic_means_against_their_recurrence(self, k):
+        sigma = metallic(k, 1).sigma
+        assert sigma._D == (2 if k % 2 else 1)
+        for n, (u, u_prev) in metallic_powers(k, BIT_EDGES).items():
+            power = sigma**n
+            assert power == u * sigma + u_prev, (k, n)
+            assert_canonical(power)
+
+    def test_non_unit_with_a_denominator(self):
+        p, m = (Fraction(1, 3), Fraction(2, 5)), 2
+        z = QuadElem(*p, m)
+        assert z._D > 1 and z.norm() not in (1, -1)
+        for n in range(-20, 121):
+            power = z**n
+            assert matches(power, ref_pow(p, n, m), m), n
+            assert_canonical(power)
+
+    @pytest.mark.parametrize("x", [Fraction(-3, 7), Fraction(5), Fraction(1, 2)])
+    def test_rational_matches_fraction(self, x):
+        z = QuadElem.from_rational(x)
+        for n in [*range(-30, 65), 1000, 1001]:
+            power = z**n
+            assert power.as_fraction() == x**n, n
+            assert_canonical(power)
+
+    def test_zero(self):
+        zero = QuadElem.from_rational(0)
+        assert zero**0 == 1 and PHI**0 == 1
+        assert zero**1 == zero**5 == 0
+        with pytest.raises(DivisionByZero):
+            zero**-1
+
+
+class TestReflectedSub:
+    @given(radicands.flatmap(elems))
+    def test_rational_minus_element(self, z):
+        for x in (3, Fraction(1, 2)):
+            diff = x - z
+            assert diff == -(z - x)
+            assert_canonical(diff)
+
+    def test_non_number_is_refused(self):
+        with pytest.raises(TypeError):
+            "3" - PHI
 
 
 class TestSign:
