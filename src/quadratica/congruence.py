@@ -1,8 +1,9 @@
 """Quadratic congruences mod an odd prime.
 
 a*x^2 + b*x + c = 0 (mod p) completes the square through u = 2a*x + b to
-u^2 = b^2 - 4ac (mod p); solvability is decided by the Legendre symbol and
-roots come from Tonelli-Shanks (with the p = 4t + 3 shortcut u = r^((p+1)/4)).
+u^2 = b^2 - 4ac (mod p). One power chain of Tonelli-Shanks both decides
+solvability, by Euler's criterion read off r^s for p - 1 = s * 2^e, and gives
+the root; for p = 4t + 3 (e = 1) it is the shortcut u = r^((p+1)/4).
 Primes p = 4t + 1 are exactly the ones where -1 is a quadratic residue, which
 is also exactly when p splits as a^2 + b^2; :func:`two_squares` computes that
 split with Cornacchia's descent seeded by sqrt(-1) mod p.
@@ -10,11 +11,12 @@ split with Cornacchia's descent seeded by sqrt(-1) mod p.
 Composite, even, or prime-power moduli are rejected outright rather than
 partially supported. Each public function validates its modulus once, at
 entry, and refuses one of more than intmath.PRIME_ARGUMENT_MAX_BITS (4096)
-bits before any primality test; the internals (`_legendre`, `_sqrt_mod`,
+bits before any primality test; the internals (`_sqrt_mod`,
 `_tonelli_shanks`) assume an odd prime and never test primality again.
-Where a composite that passed `is_prime` would break an identity they rely
-on (Euler's criterion, the order bound in Tonelli-Shanks), they raise
-CompositeModulus instead of returning a wrong answer or never returning.
+Where a composite that passed `is_prime` would break what they rely on
+(Euler's criterion, a Jacobi symbol -1 below p, the order bound in
+Tonelli-Shanks), they raise CompositeModulus instead of returning a wrong
+answer or never returning.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     InputTooLarge,
     NotRepresentable,
 )
-from .intmath import PRIME_ARGUMENT_MAX_BITS, is_prime
+from .intmath import PRIME_ARGUMENT_MAX_BITS, _jacobi, is_prime, is_square
 
 __all__ = [
     "SolutionKind",
@@ -67,10 +69,6 @@ class CongruenceSolution:
 def legendre(r: int, p: int) -> int:
     """Legendre symbol (r|p) by Euler's criterion: r^((p-1)/2) mod p -> {+1, -1, 0}."""
     _check_odd_prime(p)
-    return _legendre(r, p)
-
-
-def _legendre(r: int, p: int) -> int:
     ls = pow(r % p, (p - 1) // 2, p)
     if ls == p - 1:
         return -1
@@ -93,27 +91,43 @@ def _sqrt_mod(r: int, p: int) -> CongruenceSolution:
     r %= p
     if r == 0:
         return CongruenceSolution(SolutionKind.ONE_ROOT, (0,))
-    if _legendre(r, p) != 1:
+    u = _tonelli_shanks(r, p)
+    if u is None:
         return CongruenceSolution(SolutionKind.NO_SOLUTION, ())
-    if p % 4 == 3:
-        u = pow(r, (p + 1) // 4, p)
-    else:
-        u = _tonelli_shanks(r, p)
     return CongruenceSolution(SolutionKind.TWO_ROOTS, tuple(sorted((u, p - u))))
 
 
-def _tonelli_shanks(r: int, p: int) -> int:
-    # write p - 1 = s * 2^e with s odd
-    s, e = p - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
-    # any quadratic non-residue will do as the twiddle base
+def _tonelli_shanks(r: int, p: int) -> int | None:
+    """A root of u^2 = r (mod p) for 0 < r < p, or None when r is a non-residue.
+
+    With p - 1 = s * 2^e (s odd), one power t = r^((s-1)/2) gives x = t r and
+    b = t x = r^s, so x^2 = r b, and b^(2^(e-1)) = r^((p-1)/2) is Euler's
+    criterion: 1 for a residue, p - 1 for a non-residue; anything else (0 when
+    r shares a factor with p) proves p composite. For p = 4t + 3 (e = 1), x =
+    r^((p+1)/4) is the root. Otherwise the loop multiplies x by powers of
+    g = n^s, for a non-residue n found by Jacobi symbols, and b by their
+    squares, keeping x^2 = r b, until b = 1.
+    """
+    s = p - 1
+    e = (s & -s).bit_length() - 1
+    s >>= e
+    if e > 2 and is_square(p):  # odd squares are 1 (mod 8); no Jacobi symbol mod one is -1
+        raise CompositeModulus(f"{p} is not prime: it is a square")
+    t = pow(r, s >> 1, p)
+    x = t * r % p
+    b = t * x % p
+    c = pow(b, 1 << (e - 1), p)
+    if c == p - 1:
+        return None
+    if c != 1:
+        raise CompositeModulus(f"{p} is not prime: {r}^(({p} - 1)/2) is {c} (mod {p})")
+    if b == 1:
+        return x
     n = 2
-    while _legendre(n, p) != -1:
+    while (j := _jacobi(n, p)) != -1:
+        if j == 0:  # 1 < n < p shares a factor with p
+            raise CompositeModulus(f"{p} is not prime: it shares a factor with {n}")
         n += 1
-    x = pow(r, (s + 1) // 2, p)
-    b = pow(r, s, p)
     g = pow(n, s, p)
     k = e
     while b != 1:

@@ -181,6 +181,14 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     (D/n) = -1, P = 1 and Q = (1 - D)/4. With n + 1 = d * 2^s, n passes
     when U_d = 0 or V_(d 2^r) = 0 mod n for some 0 <= r < s. A square n
     has no such D, so it is refused before the search.
+
+    The ladder runs on W_j = V_j(P', 1) with P' = 1/Q - 2, which is
+    V_(2j)(P, Q) / Q^j (Baillie-Wagstaff 1980): two products per bit of
+    k = (d - 1)/2, no powers of Q and no halving. Since d = 2k + 1,
+    D U_d = Q^(k+1) (W_(k+1) - W_k), V_d = Q^(k+1) (W_k + W_(k+1)) and
+    V_(d 2^r) = Q^(d 2^(r-1)) W_(d 2^(r-1)) for r >= 1, so each test is
+    one on W. Q is a unit mod n: an odd prime q | Q has q < |D|, so q (or 9,
+    for q = 3) is an earlier D, whose Jacobi symbol 0 refuses any n it divides.
     """
     if is_square(n):
         return False
@@ -193,27 +201,24 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False
         D = -D - 2 if D > 0 else 2 - D
     Q = (1 - D) // 4
+    R = (pow(Q, -1, n) - 2) % n  # P'
     s = ((n + 1) & -(n + 1)).bit_length() - 1
     d = (n + 1) >> s
-    # left to right over the bits of d, from k = 1: U_1 = 1, V_1 = P = 1
-    U, V, Qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+    # left to right over the bits of k = d >> 1 from (W_0, W_1) = (2, P'):
+    # W_(2j) = W_j^2 - 2 and W_(2j+1) = W_j W_(j+1) - P'
+    W, W1 = 2, R
+    for bit in bin(d >> 1)[2:]:
         if bit == "1":
-            # U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2, halved mod odd n
-            U, V = U + V, D * U + V
-            if U & 1:
-                U += n
-            if V & 1:
-                V += n
-            U, V, Qk = (U >> 1) % n, (V >> 1) % n, Qk * Q % n
-    if U == 0 or V == 0:
+            W, W1 = (W * W1 - R) % n, (W1 * W1 - 2) % n
+        else:
+            W, W1 = (W * W - 2) % n, (W * W1 - R) % n
+    if W == W1 or (W + W1) % n == 0:  # U_d = 0 or V_d = 0
         return True
+    W = (W * W1 - R) % n  # W_d
     for _ in range(s - 1):
-        V = (V * V - 2 * Qk) % n
-        if V == 0:
+        if W == 0:
             return True
-        Qk = Qk * Qk % n
+        W = (W * W - 2) % n
     return False
 
 

@@ -122,6 +122,7 @@ solve 1 2 1
 solve 1 -1 -1 --out out.txt
 metallic table --max-p 4 --out out.txt
 fib value 30000
+fib value 20576
 fib sum --case I --n 20574
 fib sum --case II --n 20577
 fib sum --case III --n 1000000

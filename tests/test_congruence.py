@@ -118,6 +118,32 @@ class TestSqrtMod:
                 assert all(u * u % p == r % p for u in got.roots)
 
 
+# 3 * 2^18 + 1, the smallest Proth prime 165 * 2^100 + 1, and a prime 3 (mod 4)
+HIGH_TWO_POWER_PRIMES = (786433, 165 * 2**100 + 1, 2**127 - 1)
+
+
+class TestEulerFromTheRoot:
+    @pytest.mark.parametrize("p", HIGH_TWO_POWER_PRIMES)
+    def test_kind_is_eulers_criterion(self, p):
+        for r in range(501):
+            euler = pow(r, (p - 1) // 2, p)
+            want = {0: SolutionKind.ONE_ROOT, 1: SolutionKind.TWO_ROOTS, p - 1: SolutionKind.NO_SOLUTION}[euler]
+            got = sqrt_mod(r, p)
+            assert got.kind is want, r
+            assert all(u * u % p == r for u in got.roots), r
+
+    def test_proth_prime_is_proven(self):
+        # Proth's theorem: p = k 2^n + 1 with k < 2^n is prime if a^((p-1)/2) = -1 for some a
+        p = HIGH_TWO_POWER_PRIMES[1]
+        assert is_prime(p) and any(pow(a, (p - 1) // 2, p) == p - 1 for a in range(2, 50))
+        assert not any(is_prime(k * 2**100 + 1) for k in range(1, 165, 2))
+
+    @pytest.mark.parametrize("p", [p for p in HIGH_TWO_POWER_PRIMES if p % 4 == 1])
+    def test_two_squares_sum_back(self, p):
+        a, b = two_squares(p)
+        assert a * a + b * b == p and 0 < a <= b
+
+
 class TestSolveQuadMod:
     def test_example(self):
         assert solve_quad_mod(1, 1, 1, 7).roots == (2, 4)
@@ -203,6 +229,27 @@ class TestCompositePassedAsPrime:
             "from quadratica.errors import CompositeModulus\n"
             "congruence.is_prime = lambda n: True\n"
             "for call, args in ((congruence.two_squares, (21,)), (congruence.sqrt_mod, (4, 21))):\n"
+            "    try:\n"
+            "        raise SystemExit(f'{call.__name__}{args} returned {call(*args)}')\n"
+            "    except CompositeModulus:\n"
+            "        pass\n"
+        )
+        src = str(Path(congruence.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_squares_and_shared_factors_refused_in_a_child_not_hung(self):
+        # no Jacobi symbol mod a square is -1, so a non-residue search by Jacobi symbols would never end;
+        # sqrt_mod(1, 25) needs no non-residue at all. Mod 21 and 35, r^((p-1)/2) is 0 mod the shared factor
+        script = (
+            "from quadratica import congruence\n"
+            "from quadratica.errors import CompositeModulus\n"
+            "congruence.is_prime = lambda n: True\n"
+            "calls = ((congruence.sqrt_mod, (1, 25)), (congruence.sqrt_mod, (4, 49)), (congruence.two_squares, (25,)),\n"
+            "         (congruence.solve_quad_mod, (1, 0, -1, 121)), (congruence.sqrt_mod, (3, 21)),\n"
+            "         (congruence.sqrt_mod, (7, 35)))\n"
+            "for call, args in calls:\n"
             "    try:\n"
             "        raise SystemExit(f'{call.__name__}{args} returned {call(*args)}')\n"
             "    except CompositeModulus:\n"

@@ -1,6 +1,7 @@
 """Integer helpers: squarefree decomposition and primality."""
 
-from math import isqrt
+import random
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
@@ -161,3 +162,101 @@ class TestPrimality:
     def test_is_square(self):
         assert is_square(0) and is_square(144)
         assert not is_square(2) and not is_square(-4)
+
+
+def oracle_strong_lucas(n: int) -> bool:
+    """The strong Lucas test on U_k, V_k and Q^k with halving, as it ran before the Q-normalised ladder."""
+    if is_square(n):
+        return False
+    D = 5
+    while True:
+        j = intmath._jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U, V, Qk = (U >> 1) % n, (V >> 1) % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def selfridge_d(n: int) -> int:
+    D = 5
+    while intmath._jacobi(D, n) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    return D
+
+
+SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+class TestLucasLadder:
+    def test_agrees_below_2e5(self):
+        # every strong Lucas pseudoprime with Selfridge's parameters in range (5459, 5777, 10877, 16109, 18971, ...)
+        # must pass both, and every other composite fail both
+        passed = []
+        for n in range(2809, 200_000, 2):
+            if any(n % p == 0 for p in SMALL_ODD_PRIMES):
+                continue
+            verdict = intmath._strong_lucas_probable_prime(n)
+            assert verdict == oracle_strong_lucas(n), n
+            if verdict and not is_prime(n):
+                passed.append(n)
+        assert passed[:5] == [5459, 5777, 10877, 16109, 18971]
+
+    def test_agrees_on_random_64_to_256_bits(self):
+        rng = random.Random(23)
+        for _ in range(10_000):
+            n = rng.getrandbits(rng.randrange(64, 257)) | 1
+            assert intmath._strong_lucas_probable_prime(n) == oracle_strong_lucas(n), n
+
+    def test_agrees_where_n_plus_1_has_a_high_power_of_2(self):
+        # n + 1 = d * 2^s with s up to 127, and d = 1 (Mersenne numbers): a ladder of no bits, a long r-loop
+        for n in (2**61 - 1, 2**89 - 1, 2**127 - 1, 2**67 - 1, 3 * 2**64 - 1, 5 * 2**100 - 1):
+            assert intmath._strong_lucas_probable_prime(n) == oracle_strong_lucas(n), n
+
+    def test_q_is_a_unit(self):
+        # The ladder inverts Q = (1 - D)/4 mod the odd n, and no n reaches a D whose Q shares a factor with
+        # it: an odd prime factor q of Q has q <= |Q| < |D|, so q (or 9, for q = 3) is an earlier D of the
+        # search, whose Jacobi symbol 0 has refused n first. Checked for every D below 10^5 in absolute value.
+        earlier = set()
+        D = 5
+        while abs(D) < 100_000:
+            Q = abs((1 - D) // 4)
+            Q >>= (Q & -Q).bit_length() - 1  # its odd part
+            q = 3
+            while Q > 1:
+                if q * q > Q:
+                    q = Q  # a prime
+                if Q % q == 0:
+                    assert (9 if q == 3 else q) in earlier, D
+                    while Q % q == 0:
+                        Q //= q
+                q += 2
+            earlier.add(abs(D))
+            D = -D - 2 if D > 0 else 2 - D
+
+    def test_no_n_below_1e5_takes_a_q_sharing_a_factor(self):
+        for n in range(3, 100_000, 2):
+            if not is_square(n):
+                D = selfridge_d(n)
+                assert intmath._jacobi(D, n) == 0 or gcd((1 - D) // 4, n) == 1, n
