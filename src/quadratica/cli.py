@@ -5,20 +5,22 @@ machine-readable envelope on stderr under --format json), 2 usage error.
 argparse reads every number argument, --precision included, through one
 reader, _literal, into an int, a Fraction or a QuadElem, so handlers call the
 library directly; a literal that cannot be read, or whose written-out digits
-pass the int-to-str limit, is a usage error, and so is a --precision outside
+pass the digit cap, is a usage error, and so is a --precision outside
 [1, 30]. Exact values are rendered exactly in JSON ({num, den} rationals,
 {a, b, m} field elements); floats appear only in explicitly numeric fields,
 formatted to --precision significant digits, and every exact value shown as a
 float first passes one guard, which refuses a float that overflows or rounds
 a nonzero value to 0. CSV output uses '.' decimals and comma delimiters, and
 samplers emit strictly increasing x columns: a step that --precision cannot
-print apart is refused before any output.
+print apart is refused before any output. Each handler imports the library
+module it calls, and build_parser builds the parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import operator
@@ -32,7 +34,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, Optional
 
-from . import congruence, errata, fibgroup, geometry, goldbach, metallic, perfect, pnum, verify
 from .errors import DomainError, EmptyInterval, IndistinctSamples, InputTooLarge, NonPositiveParameter
 from .qfield import parse_quad, qf_make, rat_to_dict
 from .solver import (
@@ -156,19 +157,17 @@ def _cmd_qfield(args, cfg: OutputConfig) -> Output:
 
 
 def _digit_limit() -> int:
-    """The interpreter's int-to-str digit limit, or 0 where it has none (before 3.11)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """The cap on the digits of any integer read or printed: 4300, or the interpreter's limit if lower and not 0."""
+    return min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
 
 
 def _check_printable(what: str, n: int, largest: Callable[[int], int]) -> None:
-    """Refuse n when the largest integer printed at index n, largest(n), passes the int-to-str limit.
+    """Refuse n when the largest integer printed at index n, largest(n), passes the digit cap.
 
     Every largest() grows like phi^n: that estimates the cap, and exact comparisons settle it.
     """
     digits = _digit_limit()
-    if not digits:
-        return
-    cap = int(digits / math.log10(float(fibgroup.PHI)))
+    cap = int(digits / math.log10((1 + math.sqrt(5)) / 2))
     while largest(cap + 1) < 10**digits:
         cap += 1
     while largest(cap) >= 10**digits:
@@ -177,12 +176,8 @@ def _check_printable(what: str, n: int, largest: Callable[[int], int]) -> None:
         raise InputTooLarge(f"{what} must be <= {cap}, the last whose integers have <= {digits} digits; got {n}")
 
 
-def _power_sum_largest(case: fibgroup.Case, n: int) -> int:
-    a, b = fibgroup.closed_power_sum(case, n).coords()
-    return max(abs(a.numerator), a.denominator, abs(b.numerator), b.denominator)
-
-
 def _cmd_fib(args, cfg: OutputConfig) -> Output:
+    from . import fibgroup
     if args.action == "value":
         _check_printable("fib value index", args.n, fibgroup.fib)
         value = fibgroup.fib(args.n)
@@ -200,7 +195,11 @@ def _cmd_fib(args, cfg: OutputConfig) -> Output:
         case = fibgroup.Case(args.case)
         # x is a sixth or a cube root of unity in Cases III and IV, so only I and II grow
         if case in (fibgroup.Case.I, fibgroup.Case.II):
-            _check_printable(f"fib sum --case {args.case} --n", args.n, lambda n: _power_sum_largest(case, n))
+            def power_sum_largest(n: int) -> int:
+                a, b = fibgroup.closed_power_sum(case, n).coords()
+                return max(abs(a.numerator), a.denominator, abs(b.numerator), b.denominator)
+
+            _check_printable(f"fib sum --case {args.case} --n", args.n, power_sum_largest)
         total = fibgroup.closed_power_sum(case, args.n)
         return Output([f"sum_{{k=1}}^{args.n} x^k = {total}"], {"case": args.case, "n": args.n, "sum": total})
     if args.action == "group":
@@ -226,6 +225,7 @@ _METALLIC_TABLE_MAX_P = 10**4
 
 
 def _cmd_metallic(args, cfg: OutputConfig) -> Output:
+    from . import fibgroup, metallic
     if args.action == "table":
         if args.max_p > _METALLIC_TABLE_MAX_P:
             raise InputTooLarge(f"--max-p must be <= {_METALLIC_TABLE_MAX_P}, got {args.max_p}")
@@ -286,6 +286,7 @@ def _cmd_metallic(args, cfg: OutputConfig) -> Output:
 
 
 def _cmd_cong(args, cfg: OutputConfig) -> Output:
+    from . import congruence
     if args.action == "legendre":
         value = congruence.legendre(args.r, args.p)
         return Output([str(value)], {"r": args.r, "p": args.p, "legendre": value})
@@ -314,6 +315,7 @@ _PERFECT_TABLE_MAX_EXP = 2000
 
 
 def _cmd_perfect(args, cfg: OutputConfig) -> Output:
+    from . import perfect
     if args.action == "table":
         if args.max_exp > _PERFECT_TABLE_MAX_EXP:
             raise InputTooLarge(f"--max-exp must be <= {_PERFECT_TABLE_MAX_EXP}, got {args.max_exp}")
@@ -389,6 +391,7 @@ def _cmd_perfect(args, cfg: OutputConfig) -> Output:
 
 
 def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
+    from . import goldbach
     if args.action == "witness":
         if args.all:
             found = goldbach.witnesses(args.n)
@@ -466,6 +469,7 @@ def _cmd_goldbach(args, cfg: OutputConfig) -> Output:
 
 
 def _cmd_pnum(args, cfg: OutputConfig) -> Output:
+    from . import pnum
     if args.action == "associate":
         pn = pnum.associate(args.n)
         return Output(
@@ -485,12 +489,12 @@ def _cmd_pnum(args, cfg: OutputConfig) -> Output:
 
 
 _SOLID_ALIASES = {
-    "tetra": geometry.PlatonicSolid.TETRAHEDRON,
-    "octa": geometry.PlatonicSolid.OCTAHEDRON,
-    "icosa": geometry.PlatonicSolid.ICOSAHEDRON,
-    "hexa": geometry.PlatonicSolid.HEXAHEDRON,
-    "cube": geometry.PlatonicSolid.HEXAHEDRON,
-    "dodeca": geometry.PlatonicSolid.DODECAHEDRON,
+    "tetra": "TETRAHEDRON",
+    "octa": "OCTAHEDRON",
+    "icosa": "ICOSAHEDRON",
+    "hexa": "HEXAHEDRON",
+    "cube": "HEXAHEDRON",
+    "dodeca": "DODECAHEDRON",
 }
 
 
@@ -528,8 +532,9 @@ def _refuse_indistinct_samples(what: str, step, largest, cfg: OutputConfig) -> N
 
 
 def _cmd_geom(args, cfg: OutputConfig) -> Output:
+    from . import geometry
     if args.action == "platonic":
-        solid = _SOLID_ALIASES[args.solid]
+        solid = geometry.PlatonicSolid[_SOLID_ALIASES[args.solid]]
         row = geometry.platonic(solid, args.edge)
         _refuse_past_float_range("geom platonic", row.face_area, row.total_area, row.apothem, row.volume)
         lines = [
@@ -584,6 +589,7 @@ def _cmd_geom(args, cfg: OutputConfig) -> Output:
 
 
 def _cmd_errata(args, cfg: OutputConfig) -> Output:
+    from . import errata
     lines = [f"errata ledger v{errata.ERRATA_VERSION}: {len(errata.ERRATA)} entries", ""]
     rows = [["id", "kind", "section", "displayed", "derived", "oracle"]]
     for entry in errata.ERRATA:
@@ -597,6 +603,7 @@ def _cmd_errata(args, cfg: OutputConfig) -> Output:
 
 
 def _cmd_verify(args, cfg: OutputConfig) -> Output:
+    from . import verify
     results = verify.run_all(args.scale)
     lines = []
     per_module: dict[str, list[bool]] = {}
@@ -618,7 +625,7 @@ def _cmd_verify(args, cfg: OutputConfig) -> Output:
 def _literal(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     """An argparse type that reads a number with parse; a literal it cannot read is a usage error.
 
-    A run of digits past the int-to-str digit limit is refused first, in words that quote only the
+    A run of digits past the digit cap is refused first, in words that quote only the
     literal's head. Fraction builds 10**exponent, so a literal such as 1e5000, whose mantissa digits
     plus |exponent| pass the limit, is refused too, as int() refuses that many written-out digits.
     """
@@ -627,16 +634,15 @@ def _literal(parse: Callable[[str], Any]) -> Callable[[str], Any]:
         mantissa, e, exponent = text.lower().partition("e")
         limit = _digit_limit()
         try:
-            if limit:
-                runs = re.findall(r"\d+(?:_\d+)*", text)
-                longest = max((sum(map(str.isdigit, run)) for run in runs), default=0)
-                if longest > limit:
-                    head = f"{text[:20]}..."
-                    raise InputTooLarge(f"{head} has {longest} digits in a row; at most {limit} are allowed")
-                if e and re.fullmatch(r"[-+]?\d+(_\d+)*\s*", exponent):
-                    digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent))
-                    if digits > limit:
-                        raise InputTooLarge(f"{text} has {digits} digits written out; at most {limit} are allowed")
+            runs = re.findall(r"\d+(?:_\d+)*", text)
+            longest = max((sum(map(str.isdigit, run)) for run in runs), default=0)
+            if longest > limit:
+                head = f"{text[:20]}..."
+                raise InputTooLarge(f"{head} has {longest} digits in a row; at most {limit} are allowed")
+            if e and re.fullmatch(r"[-+]?\d+(_\d+)*\s*", exponent):
+                digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent))
+                if digits > limit:
+                    raise InputTooLarge(f"{text} has {digits} digits written out; at most {limit} are allowed")
             return parse(text)
         except (DomainError, ValueError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
@@ -677,6 +683,7 @@ class _Parser(argparse.ArgumentParser):
         flag("--out", metavar="FILE", default=argparse.SUPPRESS, help="write output to FILE instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="quadratica",
@@ -821,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-module invariant suites")
     p.set_defaults(run=_cmd_verify)
-    p.add_argument("--scale", choices=verify.SCALES, default="quick")
+    p.add_argument("--scale", choices=("quick", "full"), default="quick")
 
     return parser
 

@@ -1,5 +1,6 @@
 """CLI dispatch: exit codes, JSON round-trips, CSV shape, error envelopes."""
 
+import argparse
 import csv
 import io
 import json
@@ -98,6 +99,23 @@ class TestSolveCommand:
         envelope = json.loads(proc.stderr)["error"]
         assert proc.returncode == 1 and proc.stdout == ""
         assert envelope["type"] == "InputTooLarge" and str(4 * (10**30 + 57)) in envelope["message"]
+
+    def test_solve_loads_only_the_modules_it_runs_in_a_child(self):
+        script = (
+            "import json, sys\n"
+            "def package(): return sorted(m for m in sys.modules if m.partition('.')[0] == 'quadratica')\n"
+            "import quadratica.cli\n"
+            "on_import = package()\n"
+            "quadratica.cli.main(['solve', '1', '-1', '-1'])\n"
+            "print(json.dumps([on_import, package()]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        on_import, after_solve = json.loads(proc.stdout.splitlines()[-1])
+        modules = ["quadratica"] + [f"quadratica.{name}" for name in ("cli", "errors", "intmath", "qfield", "solver")]
+        assert on_import == after_solve == modules
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -509,6 +527,38 @@ class TestOtherCommands:
         assert code == 1 and out == ""
         assert envelope["type"] == "InputTooLarge" and "<= 15" in envelope["message"]
 
+    def test_digit_cap_holds_without_an_interpreter_limit_in_a_child(self):
+        # PYTHONINTMAXSTRDIGITS=0 lifts the interpreter's limit; the CLI still caps at 4300 digits
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from quadratica.cli import main\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            "            code = main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "    results.append([code, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(results))\n"
+        )
+        argvs = [["fib", "value", "30000"], ["metallic", "ledger", "--n", "30000"], ["qfield", "op", "add", "1e5000", "2"]]
+
+        def refusals(**extra):
+            env = child_env()
+            env.pop("PYTHONINTMAXSTRDIGITS", None)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(argvs)],
+                capture_output=True, text=True, env={**env, **extra}, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        default = refusals()
+        assert [code for code, _, _ in default] == [1, 1, 2] and all(out == "" for _, out, _ in default)
+        assert refusals(PYTHONINTMAXSTRDIGITS="0") == default
+
     def test_qfield_coords(self, capsys):
         code, out, _ = run(capsys, "qfield", "coords", "1/2 + 1/2√5")
         assert code == 0 and out.strip() == "(1/2, 1/2)"
@@ -686,6 +736,13 @@ class TestVerifyCommand:
         assert len(results) == 30
         assert all(isinstance(r["elapsed"], float) and r["elapsed"] >= 0 for r in results)
 
+    def test_scale_choices_are_verify_scales(self):
+        from quadratica import verify
+
+        commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        scale = next(a for a in commands.choices["verify"]._actions if a.dest == "scale")
+        assert tuple(scale.choices) == verify.SCALES
+
     def test_fault_injection_fails(self, monkeypatch):
         """The harness itself must report failure when a check fails."""
         from quadratica import verify
@@ -709,12 +766,12 @@ class TestVerifyCommand:
         assert last.detail.startswith("AssertionError: injected (at test_cli.py:")
 
     def test_raising_check_reports_without_traceback(self, capsys, monkeypatch):
-        from quadratica import cli
+        from quadratica import verify
 
         def check_geometry():
             raise AssertionError("injected")
 
-        monkeypatch.setattr(cli.verify, "check_geometry", check_geometry)
+        monkeypatch.setattr(verify, "check_geometry", check_geometry)
         code, out, err = run(capsys, "verify")
         assert code == 1 and "Traceback" not in err
         assert "FAIL  geometry.platonic-goldencut-trajectory  (AssertionError: injected (at test_cli.py:" in out
@@ -779,11 +836,11 @@ class TestVerifyCommand:
         assert first == second == "4999 even N <= 10000, max I = 228 at N = 7102"
 
     def test_fault_injection_exit_code(self, capsys, monkeypatch):
-        from quadratica import cli
+        from quadratica import verify
         from quadratica.verify import CheckResult
 
         monkeypatch.setattr(
-            cli.verify, "run_all", lambda scale: [CheckResult("self", "fault", False, "injected")]
+            verify, "run_all", lambda scale: [CheckResult("self", "fault", False, "injected")]
         )
         code, out, _ = run(capsys, "verify")
         assert code == 1
