@@ -10,11 +10,15 @@ bundle A_s = (4/3)I^3, A_r = 2I^3, A_t = I^3.
 
 One sieve is the prime table. Only the range operations, verify_range and
 witnesses, build it; a single search or pair check reads it and never builds
-it, and past its end calls :func:`quadratica.intmath.is_prime`. Range
-verification holds the primes as the bits of one integer P and resolves
-every N = 2M at once: for I = 0, 1, 2, ... the mask (P >> I) & (P << I)
-marks each M with M + I and M - I both prime, and the first I that marks an
-M is its minimal witness.
+it, and past its end calls :func:`quadratica.intmath.is_prime`. Inside the
+sieve a search reads 256 candidates I at a time: the sieve bytes of M + I and
+of M - I, each read as one integer, ANDed, give the least I as the lowest set
+bit. Range verification first holds the primes as the bits of one integer P
+and resolves every N = 2M at once: for I = 0, 1, 2, ... the mask
+(P >> I) & (P << I) marks each M with M + I and M - I both prime, and the
+first I that marks an M is its minimal witness. Each such step costs the
+whole range, so once few M are left unresolved the sweep stops and each of
+those stragglers gets the search above instead.
 """
 
 from __future__ import annotations
@@ -55,9 +59,17 @@ _SIEVE_CAP = 10_000_000  # largest N witnesses() sieves to (10 MB)
 # size, 256 bits took a median of 0.2-0.4 s and at worst 1.6-2.4 s; 288 bits 2.1-2.7 s.
 _WITNESS_MAX_BITS = 256
 
-# verify_range holds a sieve and three integers of stop bits: 10^7 takes
-# ~2.5 s and ~47 MB, 10^8 ~53 s and ~320 MB, growing linearly from there.
+# verify_range holds a sieve and three integers of stop bits: `goldbach verify`
+# takes ~1-1.5 s and ~50 MB to 10^7, ~16 s and ~320 MB to 10^8 (2 cores, Python 3.11).
 _VERIFY_MAX = 10**8
+
+# verify_range sweeps its bitsets while more than count // _SWEEP_RATIO M are unresolved.
+# Medians of 7 cold runs (2 cores, Python 3.11) at ratios 32, 64, 128, 256: 0.131, 0.103,
+# 0.091, 0.093 s to 10^6 and 0.95, 0.82, 0.85, 0.86 s to 10^7; a sweep to the end took 0.173
+# and 1.69 s. 64 is within 13% of the best at 10^6 and the best at 10^7.
+_SWEEP_RATIO = 64
+
+_WINDOW = 256  # candidates I that _least_i reads from the sieve at a time
 
 _sieve: bytearray = bytearray()  # _sieve[k] == 1 iff k is prime; built by verify_range and witnesses
 
@@ -110,6 +122,27 @@ def _witness_iter(n: int) -> Iterator[GoldbachWitness]:
             yield GoldbachWitness(N=n, M=m, I=i, p=m + i, q=m - i)
 
 
+def _least_i(m: int, i: int) -> int:
+    """Least I >= i of i's parity with M - I and M + I both prime, read from the sieve.
+
+    The caller makes sure that the sieve covers 2M. A window of _WINDOW
+    candidates starting at I = i is two slices of the sieve, at M + I and at
+    M - I, each read as an integer whose byte j stands for I = i + 2j; the
+    lowest bit of their AND is the least I in the window. Raises
+    NoWitnessFound when no I < M is left: a slice that started below index 0
+    would wrap to the end of the sieve.
+    """
+    span = 2 * _WINDOW
+    while i < m:
+        both = int.from_bytes(_sieve[m + i : m + i + span : 2], "little") & int.from_bytes(
+            _sieve[m - i : max(m - i - span, 0) : -2], "little"
+        )
+        if both:
+            return i + 2 * ((both & -both).bit_length() // 8)  # byte j sets bit 8j
+        i += span
+    raise NoWitnessFound(f"no witness below M for N={2 * m}: Goldbach counterexample?")
+
+
 def find_witness(n: int) -> GoldbachWitness:
     """Minimal-I witness for even n >= 4.
 
@@ -117,14 +150,19 @@ def find_witness(n: int) -> GoldbachWitness:
     one decomposition that leaves the odd-prime setting); otherwise I runs
     over the parity class opposite M. Exhausting I < M raises
     NoWitnessFound, which would be a Goldbach counterexample and is worth
-    shouting about. The search reads the sieve and never builds it: past
-    its end each candidate gets a primality test, so memory stays bounded,
-    and n of more than _WITNESS_MAX_BITS bits is refused before the first.
+    shouting about. The search reads the sieve and never builds it. Inside
+    it, :func:`_least_i` reads a window of candidates at a time; past its
+    end, each candidate gets a primality test, so memory stays bounded, and
+    n of more than _WITNESS_MAX_BITS bits is refused before the first.
     """
     if n < 4 or n % 2:
         raise InvalidTarget(f"witness targets are even n >= 4, got {n}")
     if n.bit_length() > _WITNESS_MAX_BITS:
         raise InputTooLarge(f"witness targets have at most {_WITNESS_MAX_BITS} bits, got {n.bit_length()}")
+    if n < len(_sieve):
+        m = n // 2
+        i = 0 if _sieve[m] else _least_i(m, 1 if m % 2 == 0 else 2)
+        return GoldbachWitness(N=n, M=m, I=i, p=m + i, q=m - i)
     for witness in _witness_iter(n):
         return witness
     raise NoWitnessFound(f"no witness below M for N={n}: Goldbach counterexample?")
@@ -194,28 +232,22 @@ class AreaReport:
 def witness_areas(p: int, q: int) -> AreaReport:
     """Exact area bundle of the witness parabola for p > q.
 
-    A_s = (p-q)^3/6 = (4/3) I^3 by antiderivative, A_r = (p-q) I^2 = 2 I^3,
+    With I = (p-q)/2: A_s = (p-q)^3/6 = (4/3) I^3, A_r = (p-q) I^2 = 2 I^3,
     A_t = A_r/2 = I^3, and the leading segment over [0, q] is q^2 (3p - q)/6.
-    verify's area-identities checks each area, the ratio identities
-    A_r/A_s = 3/2, A_r/A_t = 2, A_s/A_t = 4/3, and the leading segment
-    against the antiderivative.
+    verify's area-identities checks A_s and the leading segment against the
+    antiderivative of the parabola, each other area, and the ratio
+    identities A_r/A_s = 3/2, A_r/A_t = 2, A_s/A_t = 4/3.
     """
     if p <= q:
         raise InvalidPair(f"need p > q, got ({p}, {q})")
     _check_pair(p, q)
     i = (p - q) // 2
-
-    def antiderivative(x: Fraction) -> Fraction:
-        # integral of -(x - p)(x - q) = -x^2 + (p+q)x - pq
-        return -(x**3) / 3 + Fraction(p + q, 2) * x**2 - p * q * x
-
-    a_s = antiderivative(Fraction(p)) - antiderivative(Fraction(q))
-    a_r = Fraction((p - q) * i * i)
+    i3 = i * i * i
     return AreaReport(
         p=p, q=q, I=i,
-        parabola_area=a_s,
-        rectangle_area=a_r,
-        triangle_area=a_r / 2,
+        parabola_area=Fraction(4 * i3, 3),
+        rectangle_area=Fraction(2 * i3),
+        triangle_area=Fraction(i3),
         leading_segment=Fraction(q * q * (3 * p - q), 6),
     )
 
@@ -284,16 +316,20 @@ def _mark(i_min: array, mask: int, i: int) -> None:
 def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> VerifySummary:
     """Find the minimal-I witness for every even N in [start, stop].
 
-    One pass in one process over whole-range bitsets: bit k of `primes`
-    is set iff k is prime, and bit M of `unresolved` marks an N = 2M still
-    without a witness. For I = 0, 1, 2, ... the mask
+    One process, two phases. The sweep works on whole-range bitsets: bit k
+    of `primes` is set iff k is prime, and bit M of `unresolved` marks an
+    N = 2M still without a witness. For I = 0, 1, 2, ... the mask
     found = unresolved & (primes >> I) & (primes << I) holds exactly the M
-    whose minimal witness is I, and those bits leave `unresolved`.
-    found.bit_count() is I's entry in the histogram, and the lowest bit of
-    the last non-empty mask gives n_at_max_i. When csv_path is given, the
-    rows N, I_min, p, q are decoded from the same masks and written in N
-    order. Raises NoWitnessFound, naming the smallest unresolved N, if I
-    passes stop/2 with an N left, i.e. never. A stop past _VERIFY_MAX
+    whose minimal witness is I, and those bits leave `unresolved`;
+    found.bit_count() is I's entry in the histogram. A step costs the whole
+    range however few M are left, so the sweep stops once at most
+    count // _SWEEP_RATIO remain, and :func:`_least_i` scans for each of
+    those stragglers, in increasing M, from the first I of its parity that
+    the sweep has not tried. Their I close the histogram. n_at_max_i is the
+    smallest N whose minimal witness is max_i. When csv_path is given, the
+    rows N, I_min, p, q are decoded from the sweep's masks and the
+    stragglers' I and written in N order. Raises NoWitnessFound, naming the
+    smallest N with no witness below M, i.e. never. A stop past _VERIFY_MAX
     raises InputTooLarge before csv_path is opened: a refused range never
     creates or truncates it, and an unwritable one fails before the sieve.
     """
@@ -311,24 +347,42 @@ def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> V
             _sieve = sieve_flags(stop)
         primes = int(_sieve[: stop + 1].translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
         m_lo, m_hi = start // 2, stop // 2
+        count = m_hi - m_lo + 1
         low_primes = primes & ((2 << m_hi) - 1)  # M - I <= m_hi
-        unresolved = ((1 << (m_hi - m_lo + 1)) - 1) << m_lo
-        i_min = array("I", [0]) * (m_hi - m_lo + 1) if csv_path else None
+        unresolved = ((1 << count) - 1) << m_lo
+        remaining = count
+        i_min = array("I", [0]) * count if csv_path else None
         histogram = []
         last = 0
         i = 0
-        while unresolved:
+        while remaining > count // _SWEEP_RATIO:
             if i > m_hi:
                 n = 2 * ((unresolved & -unresolved).bit_length() - 1)
                 raise NoWitnessFound(f"no witness below M for N={n}: Goldbach counterexample?")
             found = unresolved & (primes >> i) & (low_primes << i)
             if found:
                 unresolved ^= found
-                histogram.append((i, found.bit_count()))
+                resolved = found.bit_count()
+                remaining -= resolved
+                histogram.append((i, resolved))
                 last = found
                 if i_min is not None:
                     _mark(i_min, found >> m_lo, i)
             i += 1
+        max_i, n_at_max_i = histogram[-1][0], 2 * ((last & -last).bit_length() - 1)
+
+        stragglers: dict[int, int] = {}  # I -> how many stragglers have it
+        bits = format(unresolved, "b")[::-1]  # bits[M] is bit M
+        m = bits.find("1")
+        while m >= 0:
+            m_i = _least_i(m, i + (m + i + 1) % 2)  # from the first untried I of M's other parity
+            stragglers[m_i] = stragglers.get(m_i, 0) + 1
+            if m_i > max_i:
+                max_i, n_at_max_i = m_i, 2 * m
+            if i_min is not None:
+                i_min[m - m_lo] = m_i
+            m = bits.find("1", m + 1)
+        histogram.extend(sorted(stragglers.items()))
 
         if handle:
             writer = csv.writer(handle)
@@ -337,9 +391,9 @@ def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> V
     return VerifySummary(
         start=start,
         stop=stop,
-        count=m_hi - m_lo + 1,
-        max_i=histogram[-1][0],
-        n_at_max_i=2 * ((last & -last).bit_length() - 1),
+        count=count,
+        max_i=max_i,
+        n_at_max_i=n_at_max_i,
         elapsed=time.perf_counter() - t0,
         csv_path=csv_path,
         histogram=tuple(histogram),

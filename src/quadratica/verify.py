@@ -542,7 +542,23 @@ def check_h_never_perfect(scan_limit: int) -> str:
 
 def check_goldbach_range(stop: int) -> str:
     summary = goldbach.verify_range(stop)
-    _expect(summary.count == (stop - 4) // 2 + 1 and summary.max_i >= 0, summary.count, summary.max_i)
+    _expect(summary.count == (stop - 4) // 2 + 1, summary.count)
+    # the oracle sweeps every I over the whole range: bit M of `left` is an N = 2M
+    # without a witness yet, and M + I, M - I are both prime where `found` has a bit
+    flags = sieve_flags(stop)
+    primes = int(flags.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
+    left = ((1 << (stop // 2 - 1)) - 1) << 2
+    histogram, first, i = [], 0, 0
+    while left:
+        _expect(i <= stop // 2, "no witness", i)
+        found = left & (primes >> i) & (primes << i)
+        if found:
+            left ^= found
+            histogram.append((i, found.bit_count()))
+            first = found & -found
+        i += 1
+    expected = (tuple(histogram), histogram[-1][0], 2 * (first.bit_length() - 1))
+    _expect((summary.histogram, summary.max_i, summary.n_at_max_i) == expected, stop, expected[1:])
     _expect({(17, 7), (19, 5)} <= {(w.p, w.q) for w in goldbach.witnesses(24)})
     return f"{summary.count} even N <= {stop}, max I = {summary.max_i} at N = {summary.n_at_max_i}"
 
@@ -561,15 +577,19 @@ def check_goldbach_areas(samples: int, seed: int = 1010) -> str:
         _expect((v.h, v.k) == (parab.vertex_x, parab.vertex_y), p, q)
         _expect(parab.quadratic(parab.vertex_x) == -Fraction(p - q, 2) ** 2, p, q)  # -I^2
         report = goldbach.witness_areas(p, q)
+
+        def antiderivative(x: int) -> Fraction:  # of -(x - p)(x - q) = -x^2 + (p+q)x - pq
+            return -Fraction(x**3, 3) + Fraction((p + q) * x * x, 2) - p * q * x
+
+        _expect(report.parabola_area == antiderivative(p) - antiderivative(q), p, q)
+        # the parabola lies above the axis on [0, q]
+        _expect(report.leading_segment == antiderivative(0) - antiderivative(q), p, q)
         i3 = Fraction(report.I) ** 3
         _expect(report.parabola_area == Fraction(4, 3) * i3, p, q)
         _expect(report.rectangle_area == 2 * i3 and report.triangle_area == i3, p, q)
         _expect(report.rectangle_area / report.parabola_area == Fraction(3, 2), p, q)
         _expect(report.rectangle_area / report.triangle_area == 2, p, q)
         _expect(report.parabola_area / report.triangle_area == Fraction(4, 3), p, q)
-        # integral of (x - p)(x - q) over [0, q]: F(q) - F(0) with F(0) = 0
-        segment = Fraction(q**3, 3) - Fraction((p + q) * q * q, 2) + p * q * q
-        _expect(report.leading_segment == segment, p, q)
     _expect(goldbach.hypotenuse_number(6, 5, 1) == (169, goldbach.HypClass.PRIME_SQUARE))
     _expect(goldbach.hypotenuse_number(6, 7, 1) == (193, goldbach.HypClass.PRIME))
     return f"{samples} random witness pairs"

@@ -200,9 +200,7 @@ class TestNumberArguments:
 
     def test_exponent_bounded_by_the_digit_limit(self, capsys):
         # 1e(L-1) has L digits written out and is read; 1e(L) and 1e-(L) have L + 1
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not limit:
-            pytest.skip("this interpreter has no int-to-str digit limit")
+        limit = cli._digit_limit()
         code, out, _ = run(capsys, "qfield", "coords", f"1e{limit - 1}")
         assert code == 0 and out == f"({10 ** (limit - 1)}, 0)\n"
         for literal in (f"1e{limit}", f"1e-{limit}"):
@@ -232,9 +230,7 @@ class TestNumberArguments:
         [(["fib", "value", "LITERAL"], "n"), (["cong", "legendre", "2", "LITERAL"], "p")],
     )
     def test_integer_past_the_limit_refused_in_its_own_words(self, capsys, argv, name):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not limit:
-            pytest.skip("this interpreter has no int-to-str digit limit")
+        limit = cli._digit_limit()
         literal = "7" * (limit + 700)
         with pytest.raises(SystemExit) as exc:
             main([literal if arg == "LITERAL" else arg for arg in argv])

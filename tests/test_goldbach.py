@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +40,26 @@ from quadratica.solver import Quadratic, solve
 
 FLAGS = sieve_flags(10_000)
 ODD_PRIMES = [p for p in range(3, 10_000) if FLAGS[p]]
+
+
+def brute_min_i(flags, n):
+    """Least I with M + I and M - I both prime by the flags, trying every I >= 0 in turn."""
+    m = n // 2
+    return next(i for i in range(m) if flags[m + i] and flags[m - i])
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The (M, i) of every _least_i call."""
+    calls = []
+    least_i = goldbach._least_i
+
+    def spy(m, i):
+        calls.append((m, i))
+        return least_i(m, i)
+
+    monkeypatch.setattr(goldbach, "_least_i", spy)
+    return calls
 
 
 class TestParityLemma:
@@ -141,6 +162,34 @@ class TestFindWitness:
             others = witnesses(n)
             assert others[0].I == w.I
             assert all(other.I >= w.I for other in others)
+
+    def test_scan_matches_brute_force_inside_the_sieve(self, monkeypatch, scans):
+        flags = sieve_flags(20_002)
+        monkeypatch.setattr(goldbach, "_sieve", flags)
+        for n in range(4, 20_001, 2):
+            w = find_witness(n)
+            assert (w.N, w.I) == (n, brute_min_i(flags, n))
+        assert [m for m, _ in scans] == [m for m in range(2, 10_001) if not flags[m]]  # M prime: I = 0
+
+    def test_scan_crosses_window_edges(self, monkeypatch, scans):
+        flags = sieve_flags(10**6)
+        monkeypatch.setattr(goldbach, "_sieve", flags)
+        w = find_witness(742856)  # I = 1281 is in the third window of 256 candidates from I = 1
+        assert (w.I, w.p, w.q) == (1281, 372709, 370147) and brute_min_i(flags, 742856) == 1281
+        w = find_witness(138668)  # I = 513 opens the second window
+        assert (w.I, w.p, w.q) == (513, 69847, 68821) and brute_min_i(flags, 138668) == 513
+        assert scans == [(371428, 1), (69334, 1)]
+
+    def test_scan_stops_below_m_instead_of_wrapping(self, monkeypatch):
+        # only the sieve's last entries say prime: a slice from a negative
+        # index would read them as M - I for I > M
+        doctored = bytearray(1000)
+        doctored[400:] = b"\1" * 600
+        monkeypatch.setattr(goldbach, "_sieve", doctored)
+        with pytest.raises(NoWitnessFound, match="N=10:"):
+            find_witness(10)
+        with pytest.raises(NoWitnessFound, match="N=10:"):
+            goldbach._least_i(5, 7)
 
     def test_beyond_sieve_cap_leaves_sieve_alone(self):
         # a single search reads the sieve and never grows it; past its end
@@ -273,6 +322,12 @@ class TestWitnessAreas:
             assert report.rectangle_area / report.triangle_area == 2
             assert report.parabola_area / report.triangle_area == Fraction(4, 3)
 
+            def antiderivative(x):  # of -(x - p)(x - q)
+                return -Fraction(x**3, 3) + Fraction((p + q) * x * x, 2) - p * q * x
+
+            assert report.parabola_area == antiderivative(p) - antiderivative(q)
+            assert report.leading_segment == antiderivative(0) - antiderivative(q)
+
 
 class TestHypotenuse:
     def test_prime_square(self):
@@ -354,6 +409,28 @@ class TestVerifyRange:
         assert max(i for i, _ in summary.histogram) == summary.max_i
         assert summary.n_at_max_i == min(n for n, i, _, _ in rows if i == summary.max_i)
 
+    # up to 62 000 the largest minimal I, 525, belongs to two N
+    @pytest.mark.parametrize("start, stop", [(4, 10_000), (3, 30_000), (1000, 20_000), (4, 62_000)])
+    def test_straggler_rows_match_brute_force(self, tmp_path, scans, start, stop):
+        path = tmp_path / "witnesses.csv"
+        summary = verify_range(stop, start=start, csv_path=str(path))
+        with open(path, newline="") as handle:
+            rows = [tuple(map(int, row)) for row in list(csv.reader(handle))[1:]]
+        flags = sieve_flags(stop)
+        expected = []
+        for n in range(max(start + start % 2, 4), stop + 1, 2):
+            i = brute_min_i(flags, n)
+            expected.append((n, i, n // 2 + i, n // 2 - i))
+        assert rows == expected
+        # the sweep tried every I below some i0 and left each N whose minimal
+        # I is at least i0 to the scan, once, in increasing N, from i0 or i0 + 1
+        i0 = min(i for _, i in scans)
+        assert {i for _, i in scans} <= {i0, i0 + 1}
+        assert [2 * m for m, _ in scans] == [n for n, i, _, _ in rows if i >= i0]
+        assert summary.histogram == tuple(sorted(Counter(i for _, i, _, _ in rows).items()))
+        assert summary.max_i == max(i for _, i, _, _ in rows)
+        assert summary.n_at_max_i == min(n for n, i, _, _ in rows if i == summary.max_i)
+
     def test_stop_capped_before_the_sieve_and_the_report(self, tmp_path, monkeypatch):
         def refuse(limit):
             raise AssertionError("sieved past the cap")
@@ -379,3 +456,14 @@ class TestVerifyRange:
         monkeypatch.setattr(goldbach, "_sieve", doctored)
         with pytest.raises(NoWitnessFound, match="N=6:"):
             verify_range(100)
+
+    def test_doctored_sieve_raises_from_the_scan(self, monkeypatch, scans):
+        # the sweep leaves N = 6 to the scan, which starts past M = 3 and must
+        # raise, not read the sieve's end, where every entry says prime
+        doctored = sieve_flags(12_000)
+        doctored[3] = 0
+        doctored[10_001:] = b"\1" * (len(doctored) - 10_001)
+        monkeypatch.setattr(goldbach, "_sieve", doctored)
+        with pytest.raises(NoWitnessFound, match="N=6:"):
+            verify_range(10_000)
+        assert scans[0][0] == 3 and scans[0][1] > 3
