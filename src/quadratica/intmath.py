@@ -8,6 +8,9 @@ congruence and Goldbach machinery.
 (n < 2809), Baillie-PSW below 2^64, the 13 Miller-Rabin bases 2..41 below
 psi_13 ~ 3.3 * 10^24, and Baillie-PSW again above. The first three bands are
 proven; in the last a True is a probable prime and a False is proven.
+
+One sieve loop, :func:`_odd_flags` over the odd numbers of an interval, backs
+both :func:`sieve_flags` (its expansion to one flag per integer) and the chunks.
 """
 
 from __future__ import annotations
@@ -222,14 +225,22 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+def _odd_flags(lo: int, hi: int) -> bytearray:
+    """Sieve the odd numbers in [lo, hi) for an even lo >= 2: flags[i] == 1 iff lo + 1 + 2i is prime."""
+    flags = bytearray([1]) * ((hi - lo) // 2)
+    r = isqrt(hi - 1) + 1  # the odd primes below r have their squares below hi
+    for p in compress(range(3, r, 2), _odd_flags(2, r) if r > 3 else ()):
+        i = (max(p * p, ((lo // p + 1) | 1) * p) - lo - 1) // 2  # p^2 or the first odd multiple past lo
+        flags[i::p] = bytes(len(range(i, len(flags), p)))
+    return flags
+
+
 def sieve_flags(limit: int) -> bytearray:
     """Sieve of Eratosthenes as a flag array: flags[n] == 1 iff n is prime, n <= limit."""
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start : limit + 1 : p] = bytearray(len(range(start, limit + 1, p)))
+    flags = bytearray(limit + 1)
+    flags[3::2] = _odd_flags(2, limit + 1)
+    if limit >= 2:
+        flags[2] = 1
     return flags
 
 
@@ -252,15 +263,7 @@ def _extend_chunks(n: int, limit: int) -> None:
         hi = lo + _CHUNK_WIDTH
         while hi <= limit and hi * hi * hi <= n:
             hi += _CHUNK_WIDTH
-        # a sieve of the odd numbers in [lo, hi): flags[i] stands for lo + 1 + 2i
-        flags = bytearray([1]) * ((hi - lo) // 2)
-        r = isqrt(hi)
-        for p in compress(range(3, r + 1, 2), sieve_flags(r)[3::2]):
-            start = max(p * p, (lo // p + 1) * p)
-            if start % 2 == 0:
-                start += p
-            i = (start - lo - 1) // 2
-            flags[i::p] = bytes(len(range(i, len(flags), p)))
+        flags = _odd_flags(lo, hi)
         # compress picks from one tuple of offsets, so only the primes become new ints
         offsets = tuple(range(1, _CHUNK_WIDTH, 2))
         view = memoryview(flags)

@@ -1,7 +1,7 @@
 """Integer helpers: squarefree decomposition and primality."""
 
 import random
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given
@@ -29,6 +29,14 @@ def naive_squarefree(n: int) -> tuple[int, int]:
             s *= d
         d += 1
     return s, sign * n
+
+
+def trial_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def trial_odd_flags(lo: int, hi: int) -> bytearray:
+    return bytearray(trial_prime(n) for n in range(lo + 1, hi, 2))
 
 
 class TestSquarefree:
@@ -72,7 +80,7 @@ class TestSquarefree:
     def test_edges_are_where_the_primes_say(self):
         for edge, below, above, after in self.EDGES:
             assert below < edge < above
-            primes = [n for n in range(below, after + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
+            primes = [n for n in range(below, after + 1) if trial_prime(n)]
             assert primes == [below, above, after]
 
     @pytest.mark.parametrize("k", range(3))
@@ -84,6 +92,14 @@ class TestSquarefree:
         for n in cases:
             for signed in (n, -n):
                 assert squarefree_decompose(signed) == naive_squarefree(signed), signed
+
+    def test_first_chunk_products_are_their_primes(self):
+        while len(intmath._chunks) < 4:
+            intmath._extend_chunks(0, 0)  # builds one chunk
+        edges = [0] + [intmath._FIRST_CHUNK_END + k * intmath._CHUNK_WIDTH for k in range(4)]
+        for (product, candidates), lo, hi in zip(intmath._chunks, edges, edges[1:]):
+            assert product == prod(n for n in range(lo, hi) if trial_prime(n)), lo
+            assert candidates[0] >= lo and candidates[-1] < hi
 
 
 class TestTrialDivisionLimit:
@@ -121,11 +137,43 @@ class TestTrialDivisionLimit:
             squarefree_decompose(3 * 1009 * 1013 * 1019)
 
 
+class TestOddFlags:
+    """The one sieve loop, against trial division: flags[i] stands for lo + 1 + 2i in [lo, hi)."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 1009])
+    def test_edges_at_a_prime_square(self, p):
+        near = range(p * p - 2, p * p + 3)
+        lows = [lo for lo in near if lo % 2 == 0] + [max(2, p * p - 41)]
+        for lo in lows:
+            for hi in [*near, p * p + 40, p * p + 41]:
+                if hi >= lo:
+                    assert intmath._odd_flags(lo, hi) == trial_odd_flags(lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("lo", [2, 4, 8, 22, 120, 7918])
+    def test_empty_and_one_flag_intervals(self, lo):
+        assert intmath._odd_flags(lo, lo) == intmath._odd_flags(lo, lo + 1) == bytearray()
+        for hi in (lo + 2, lo + 3):
+            assert intmath._odd_flags(lo, hi) == trial_odd_flags(lo, hi) == bytearray([trial_prime(lo + 1)])
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_intervals_from_a_chunk_edge(self, k):
+        lo = intmath._FIRST_CHUNK_END + k * intmath._CHUNK_WIDTH
+        for hi in (lo + intmath._CHUNK_WIDTH, lo + 2 * intmath._CHUNK_WIDTH + 1):
+            assert intmath._odd_flags(lo, hi) == trial_odd_flags(lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("hi", [2, 3, 4, 9, 10])
+    def test_base_prime_recursion_ends(self, hi):
+        assert intmath._odd_flags(2, hi) == trial_odd_flags(2, hi)
+
+
 class TestPrimality:
     def test_matches_sieve(self):
         flags = sieve_flags(200_000)
         for n in range(200_000):
             assert is_prime(n) == bool(flags[n])
+        # every small limit, 0 included, has limit + 1 flags
+        for limit in range(3001):
+            assert sieve_flags(limit) == flags[: limit + 1], limit
 
     def test_strong_pseudoprimes(self):
         # composites that fool single-witness tests, and psi_12 and psi_13, the
