@@ -5,9 +5,10 @@ canonicalization in :mod:`quadratica.qfield` and the prime tests used by the
 congruence and Goldbach machinery.
 
 :func:`is_prime` works in four bands: trial division by the primes up to 47
-(n < 2809), Baillie-PSW below 2^64, the 13 Miller-Rabin bases 2..41 below
-psi_13 ~ 3.3 * 10^24, and Baillie-PSW again above. The first three bands are
-proven; in the last a True is a probable prime and a False is proven.
+(n < 2809), Baillie-PSW below 2^64, the Miller-Rabin bases 2..37 (2..41 from
+psi_12 ~ 3.2 * 10^23) below psi_13 ~ 3.3 * 10^24, and Baillie-PSW again above.
+The first three bands are proven; in the last a True is a probable prime and a
+False is proven.
 
 One sieve loop, :func:`_odd_flags` over the odd numbers of an interval, backs
 both :func:`sieve_flags` (its expansion to one flag per integer) and the chunks.
@@ -108,9 +109,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, sign * m
 
 
-# psi_12 = 318665857834031151167461 fools the first 12 bases; no composite
-# below psi_13 fools all 13 (Sorenson-Webster, Math. Comp. 2017).
+# psi_12 = 318665857834031151167461 is the least composite that fools the first
+# 12 bases; no composite below psi_13 fools all 13 (Sorenson-Webster, Math. Comp. 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_12 = 318665857834031151167461
 _PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -131,8 +133,9 @@ def is_prime(n: int) -> bool:
     2. n < 2^64: Baillie-PSW, a strong base-2 test and a strong Lucas test
        with Selfridge's parameters. Proven: no base-2 strong pseudoprime
        below 2^64 is a strong Lucas pseudoprime (Feitsma-Galway enumeration).
-    3. 2^64 <= n < psi_13 = 3317044064679887385961981: Miller-Rabin with the
-       13 prime bases 2..41, proven by Sorenson-Webster.
+    3. 2^64 <= n < psi_13 = 3317044064679887385961981: Miller-Rabin, proven
+       by Sorenson-Webster, with the 12 prime bases 2..37 below
+       psi_12 = 318665857834031151167461 and the 13 bases 2..41 from there on.
     4. n >= psi_13: Baillie-PSW again. No counterexample is known, but none
        is ruled out either: a True may be wrong, a False is always right.
     """
@@ -143,15 +146,17 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < _TRIAL_LIMIT:
         return True
-    if n < 1 << 64 or n >= _PSI_13:
-        return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
-    return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES)
-
-
-def _strong_probable_prime(n: int, a: int) -> bool:
-    """Miller-Rabin round: n - 1 = d * 2^s, and a^d = 1 or a^(d 2^r) = -1 mod n."""
     s = ((n - 1) & (1 - n)).bit_length() - 1
-    x = pow(a, (n - 1) >> s, n)
+    d = (n - 1) >> s
+    if n < 1 << 64 or n >= _PSI_13:
+        return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
+    bases = _MR_WITNESSES if n >= _PSI_12 else _MR_WITNESSES[:12]
+    return all(_strong_probable_prime(n, a, d, s) for a in bases)
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """Miller-Rabin round for n - 1 = d * 2^s with d odd: a^d = 1 or a^(d 2^r) = -1 mod n."""
+    x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):

@@ -81,8 +81,21 @@ def lucas_lehmer(p: int) -> bool:
     m = (1 << p) - 1
     s = 4
     for _ in range(p - 2):
-        s = (s * s - 2) % m
+        s = _square_minus_2(s, p, m)
     return s == 0
+
+
+def _square_minus_2(s: int, p: int, m: int) -> int:
+    """(s^2 - 2) mod m for m = 2^p - 1 and 0 <= s < m, by one Mersenne fold.
+
+    2^p = 1 (mod m), so t -> (t & m) + (t >> p) keeps t mod m and takes
+    0 <= t < m^2 below 2m; one subtraction of m ends in [0, m).
+    """
+    t = s * s - 2
+    if t < 0:
+        t += m
+    t = (t & m) + (t >> p)
+    return t - m if t >= m else t
 
 
 def perfect_from_exponent(p: int) -> PerfectRecord:

@@ -14,10 +14,13 @@ through one private ``_build``, which extracts square factors from the
 radicand (``sqrt(12)`` becomes ``2*sqrt(3)``) and folds a perfect-square
 radicand into the rational part. Arithmetic results already carry a
 squarefree radicand, so each operation, division included, reduces its
-result with one gcd and never re-factors ``m``. ``z**n`` goes left to right
-over the bits of n: each bit squares through the private ``_square`` (three
-squares, where a general ``*`` takes four products), and a set bit multiplies
-by the small base ``z``, so no step multiplies two big operands.
+result with one gcd and never re-factors ``m``. ``z**n`` of a unit with
+integral trace (phi, the metallic means, the sixth roots of unity) comes from
+the Lucas pair (U(n-1), U(n)) of the private ``_lucas_pair``, two big squares
+per bit of n. Any other ``z**n`` goes left to right over the bits of n: each
+bit squares through the private ``_square`` (three squares, where a general
+``*`` takes four products), and a set bit multiplies by the small base ``z``,
+so no step multiplies two big operands.
 Text goes both ways on the int slots: ``str`` prints ``A/D`` and ``B/D`` after
 one gcd each, and :func:`parse_quad` reads integer numerators and denominators
 straight from the text, with no ``Fraction`` in between. Structural equality
@@ -224,11 +227,15 @@ class QuadElem:
         return _raw(-self._A, -self._B, self._D, self._m)
 
     def __pow__(self, n: int) -> "QuadElem":
-        """self**n by left-to-right binary powering over the bits of n.
+        """self**n: a Lucas ladder for units with integral trace, else binary powering.
 
-        Each bit squares the result through ``_square``, and a set bit then
-        multiplies it by the small base ``self``. Every element, zero included,
-        to the power 0 is 1; a negative power of zero raises DivisionByZero.
+        A unit (A + B*sqrt(m))/D with A, B != 0, D <= 2 and A^2 - m*B^2 = +/-D^2
+        is a root of x^2 = P*x - Q for P = 2A/D and Q = +/-1, so self^n =
+        U(n)*self - Q*U(n-1); a non-unit leaves the test after integer
+        comparisons. Otherwise each bit of n squares through ``_square`` and a
+        set bit multiplies by ``self``. A negative n powers ``inverse()``; every
+        element to the power 0 is 1, and a negative power of zero raises
+        DivisionByZero.
         """
         if not isinstance(n, int):
             return NotImplemented
@@ -236,6 +243,13 @@ class QuadElem:
             return self.inverse() ** (-n)
         if not n:
             return _ONE
+        A, B, D, m = self._A, self._B, self._D, self._m
+        if D <= 2 and A and B:
+            norm = A * A - m * B * B
+            if abs(norm) == D * D:
+                Q = norm // (D * D)
+                u_prev, u = _lucas_pair(2 * A // D, Q, n)
+                return _reduced(u * A - Q * u_prev * D, u * B, D, m)
         result = self
         for bit in bin(n)[3:]:
             result = _square(result)
@@ -338,6 +352,32 @@ def _square(z: QuadElem) -> QuadElem:
         return _raw(A * A, 0, D * D, 0)
     a2, b2, s = A * A, B * B, A + B
     return _reduced(a2 + m * b2, s * s - a2 - b2, D * D, m)
+
+
+def _lucas_pair(P: int, Q: int, n: int) -> tuple[int, int]:
+    """(U(n-1), U(n)) of the Lucas sequence of (P, Q), for P != 0, Q = +/-1 and n >= 1.
+
+    Doubles (U(k-1), U(k)) from k = 1 with two squares per bit of n, GMP's
+    Fibonacci doubling for any P when Q = +/-1 (Joye-Quisquater 1996):
+
+        U(2k+1) = (P^2 - 3Q)*U(k)^2 - U(k-1)^2 + 2Q^k
+        U(2k-1) = U(k)^2 - Q*U(k-1)^2
+        U(2k)   = (U(2k+1) + Q*U(2k-1)) / P, exactly
+
+    A set bit keeps (U(2k), U(2k+1)), a clear one (U(2k-1), U(2k)).
+    """
+    prev, cur = 0, 1
+    scale, twice_qk = P * P - 3 * Q, 2 * Q  # 2Q^k: k = 1 is odd
+    for bit in bin(n)[3:]:
+        cs, ps = cur * cur, prev * prev
+        high = scale * cs - ps + twice_qk
+        low = cs - Q * ps
+        mid = (high + Q * low) // P
+        if bit == "1":
+            prev, cur, twice_qk = mid, high, 2 * Q
+        else:
+            prev, cur, twice_qk = low, mid, 2
+    return prev, cur
 
 
 def _build(an: int, ad: int, bn: int, bd: int, m: int) -> QuadElem:

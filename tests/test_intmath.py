@@ -200,8 +200,30 @@ class TestPrimality:
         # the 13 bases are proven only as this exact set: psi_12 fools the first 12, nothing below psi_13 fools all 13
         assert intmath._MR_WITNESSES == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
         psi_12, psi_13 = 318665857834031151167461, 3317044064679887385961981
-        assert intmath._PSI_13 == psi_13
+        assert (intmath._PSI_12, intmath._PSI_13) == (psi_12, psi_13)
         assert not is_prime(psi_12) and not is_prime(psi_13)
+
+    @pytest.mark.parametrize(
+        "n, bases",
+        [
+            (318665857834031151167441, 12),  # the prime before psi_12
+            (318665857834031151167483, 13),  # the prime after psi_12
+            (318665857834031151167461, 13),  # psi_12 itself, refused by base 41
+            (2**64 + 13, 12),
+        ],
+    )
+    def test_bases_tried_between_2_64_and_psi_13(self, n, bases, monkeypatch):
+        tried = []
+        real = intmath._strong_probable_prime
+
+        def spy(n, a, d, s):
+            tried.append(a)
+            assert (d % 2, d << s) == (1, n - 1)
+            return real(n, a, d, s)
+
+        monkeypatch.setattr(intmath, "_strong_probable_prime", spy)
+        assert is_prime(n) == (n != intmath._PSI_12)
+        assert tried == list(intmath._MR_WITNESSES[:bases])
 
     def test_large_known(self):
         assert is_prime(2**89 - 1)

@@ -20,6 +20,7 @@ from quadratica.perfect import (
     perfect_from_exponent,
     preimage,
 )
+from quadratica.perfect import _square_minus_2
 
 fracs = st.fractions(min_value=-40, max_value=40, max_denominator=20)
 
@@ -98,6 +99,22 @@ class TestPerfectTable:
 
     def test_lucas_lehmer_known(self):
         assert [p for p in range(2, 32) if lucas_lehmer(p)] == [2, 3, 5, 7, 13, 17, 19, 31]
+        # the Mersenne prime exponents up to 1279 (OEIS A000043)
+        known = [2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279]
+        assert [p for p in range(2, 1280) if lucas_lehmer(p)] == known
+
+    def test_mersenne_fold_matches_remainder(self):
+        for p in range(3, 300):
+            m = (1 << p) - 1
+            s = 4
+            for _ in range(p - 2):
+                folded = _square_minus_2(s, p, m)
+                s = (s * s - 2) % m
+                assert folded == s, p
+        for p in (3, 5, 7, 13):  # every residue of a small Mersenne modulus
+            m = (1 << p) - 1
+            for s in range(m):
+                assert _square_minus_2(s, p, m) == (s * s - 2) % m, (p, s)
 
     def test_x1_closed_forms(self):
         for l in range(1, 61):

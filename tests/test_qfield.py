@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quadratica.errors import DivisionByZero, MixedRadicands, PerfectSquareRadicand
+from quadratica import qfield
 from quadratica.metallic import metallic
 from quadratica.qfield import (
     BigRational,
@@ -464,6 +465,89 @@ class TestBigPowers:
         assert zero**1 == zero**5 == 0
         with pytest.raises(DivisionByZero):
             zero**-1
+
+
+def chain_powers(z, ns):
+    """{n: z**n} for the wanted n >= 0, by repeated multiplication of integer numerators.
+
+    z^n = (A_n + B_n*sqrt(m)) / D^n with A_(n+1) = A*A_n + m*B*B_n and
+    B_(n+1) = A*B_n + B*A_n: one small-by-big product per term, no Lucas sequence.
+    """
+    A, B, D, m = z._A, z._B, z._D, z._m
+    wanted, out = set(ns), {}
+    a, b, d = 1, 0, 1
+    for n in range(max(wanted) + 1):
+        if n in wanted:
+            out[n] = QuadElem(Fraction(a, d), Fraction(b, d), m)
+        a, b, d = A * a + m * B * b, A * b + B * a, D * d
+    return out
+
+
+# units with integral trace: (element, trace P, norm Q)
+UNITS = [
+    (QuadElem(2, 1, 3), 4, 1),  # 2 + sqrt(3), D = 1
+    (QuadElem(Fraction(1, 2), Fraction(1, 2), -3), 1, 1),  # primitive 6th root of unity
+    (QuadElem(Fraction(-1, 2), Fraction(1, 2), -3), -1, 1),  # primitive cube root of unity
+    (QuadElem(1, 1, 2), 2, -1),  # 1 + sqrt(2), D = 1
+    (-PHI, -1, -1),
+    (QuadElem(Fraction(-1, 2), Fraction(1, 2), 5), -1, -1),  # the Case II root
+    (QuadElem(-2, -1, 3), -4, 1),
+]
+
+
+@pytest.fixture
+def pow_paths(monkeypatch):
+    """Counts of calls into the two powering paths of QuadElem.__pow__."""
+    calls = {"ladder": 0, "square": 0}
+
+    def spy(name, key):
+        real = getattr(qfield, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(qfield, name, counted)
+
+    spy("_lucas_pair", "ladder")
+    spy("_square", "square")
+    return calls
+
+
+class TestUnitPowers:
+    @pytest.mark.parametrize("z, P, Q", UNITS, ids=lambda v: str(v))
+    def test_units_against_product_chains(self, z, P, Q, pow_paths):
+        assert z._D <= 2 and (z + z.conj(), z.norm()) == (P, Q)
+        for base in (z, z.inverse()):
+            for n, power in chain_powers(base, BIT_EDGES).items():
+                assert base**n == power, (base, n)
+                assert_canonical(base**n)
+        p, m = (z.a, z.b), z.m
+        for n in range(-40, 41):
+            power = z**n
+            assert matches(power, ref_pow(p, n, m), m), n
+            assert_canonical(power)
+        assert pow_paths["ladder"] > 0 and pow_paths["square"] == 0
+
+    @pytest.mark.parametrize("z, P, Q", UNITS, ids=lambda v: str(v))
+    def test_unit_times_its_conjugate_power(self, z, P, Q):
+        for n in (1, 2, 999, 20000):
+            assert z**n * z.conj() ** n == Q**n
+
+    @pytest.mark.parametrize(
+        "z",
+        [QuadElem(0, 1, -1), QuadElem(1, 1, 5), QuadElem(Fraction(1, 3), Fraction(2, 3), 2)],
+        ids=["sqrt(-1): trace 0", "1 + sqrt(5): norm -4", "non-unit with D = 3"],
+    )
+    def test_other_elements_take_binary_powering(self, z, pow_paths):
+        p, m = (z.a, z.b), z.m
+        for n in range(-12, 41):
+            power = z**n
+            assert matches(power, ref_pow(p, n, m), m), n
+            assert_canonical(power)
+        for n, power in chain_powers(z, [1000, 1001]).items():
+            assert z**n == power
+        assert pow_paths["ladder"] == 0 and pow_paths["square"] > 0
 
 
 class TestReflectedSub:
