@@ -13,15 +13,15 @@ float first passes one guard, which refuses a float that overflows or rounds
 a nonzero value to 0. CSV output uses '.' decimals and comma delimiters, and
 samplers emit strictly increasing x columns: a step that --precision cannot
 print apart is refused before any output. Each handler imports the library
-module it calls, and build_parser builds the parser once per process.
+module it calls, and build_parser builds the parser once per process, so
+`import quadratica.cli` adds only argparse to `import quadratica`: OutputConfig
+and Output are `_record` classes, and json and csv load only to write them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import math
 import operator
 import os
@@ -29,11 +29,11 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, Optional
 
+from ._record import Record, setfield
 from .errors import DomainError, EmptyInterval, IndistinctSamples, InputTooLarge, NonPositiveParameter
 from .qfield import parse_quad, qf_make, rat_to_dict
 from .solver import (
@@ -50,44 +50,49 @@ __all__ = ["main", "OutputConfig"]
 _FORMATS = ("text", "json", "csv")
 
 
-@dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(Record):
     """Rendering knobs shared by every subcommand."""
 
-    format: str = "text"
-    precision: int = 12
+    __slots__ = __match_args__ = ("format", "precision")
+
+    def __init__(self, format: str = "text", precision: int = 12):
+        setfield(self, "format", format)
+        setfield(self, "precision", precision)
 
     def fnum(self, x: float) -> str:
         return f"{x:.{self.precision}g}"
 
 
-@dataclass
-class Output:
+class Output(Record):
     """What a handler produced: text lines, a JSON payload, optional CSV rows.
 
     lines and rows are iterables read once, and only by the format printed;
-    data may hold library values, which _json encodes.
+    data may hold library values, which _json encodes. The one mutable record.
     """
 
-    lines: Iterable[str]
-    data: Any
-    rows: Optional[Iterable[list]] = None
-    failed: bool = False  # exit 1 even though the command ran
+    __slots__ = __match_args__ = ("lines", "data", "rows", "failed")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, lines: Iterable[str], data: Any, rows: Optional[Iterable[list]] = None, failed: bool = False):
+        self.lines = lines
+        self.data = data
+        self.rows = rows
+        self.failed = failed  # exit 1 even though the command ran
 
 
 def _json(value):
     """json.dump's default hook: the exact JSON form of a library value.
 
-    Fraction -> {num, den}; a QuadElem -> its to_dict(); a dataclass -> its
-    fields in order; an iterator -> a list. json itself writes lists,
-    tuples and the library's str enums (as their value).
+    Fraction -> {num, den}; a QuadElem -> its to_dict(); a record or dataclass
+    -> its __match_args__ fields in order; an iterator -> a list. json itself
+    writes lists, tuples and the library's str enums (as their value).
     """
     if isinstance(value, Fraction):
         return rat_to_dict(value)
     if hasattr(value, "to_dict"):
         return value.to_dict()
-    if is_dataclass(value):
-        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if hasattr(type(value), "__match_args__"):
+        return {name: getattr(value, name) for name in type(value).__match_args__}
     if isinstance(value, Iterator):
         return list(value)
     raise TypeError(f"{type(value).__name__} has no JSON form")
@@ -839,9 +844,11 @@ def _render(output: Output, cfg: OutputConfig, out_path: Optional[str]) -> None:
         raise ValueError("this command has no CSV form")
     with open(out_path, "w") if out_path else nullcontext(sys.stdout) as handle:
         if cfg.format == "json":
+            import json
             json.dump(output.data, handle, indent=2, default=_json)
             handle.write("\n")
         elif cfg.format == "csv":
+            import csv
             csv.writer(handle).writerows(output.rows)
         else:
             lines = iter(output.lines)
@@ -865,6 +872,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except (DomainError, ValueError, OSError) as exc:
         if cfg.format == "json":
+            import json
             envelope = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             print(json.dumps(envelope), file=sys.stderr)
         else:

@@ -6,15 +6,19 @@ discriminant is a rational square); floats never enter the solver. The same
 classifier serves the constant-coefficient second-order ODE characteristic
 equation and the indicial equation of series solutions, via
 :func:`ode_classify`.
+
+`import quadratica` loads this module with qfield, intmath and errors, not
+`dataclasses`: its records are `_record` classes, which keep the dataclass
+constructors, `==`, `hash`, `repr` and pickling without its import cost.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, setfield
 from .errors import DegenerateLeadingCoefficient, NonPositiveParameter
 from .intmath import squarefree_decompose
 from .qfield import QuadElem, RatLike, _reduced, rational
@@ -37,19 +41,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Quadratic:
+class Quadratic(Record):
     """a*x^2 + b*x + c with exact rational coefficients, a != 0."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = __match_args__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            value = getattr(self, name)
-            if type(value) is not Fraction:  # an exact type test skips the numbers.Rational ABC check
-                object.__setattr__(self, name, rational(value))
+    def __init__(self, a: RatLike, b: RatLike, c: RatLike):
+        # an exact type test skips the numbers.Rational ABC check
+        setfield(self, "a", a if type(a) is Fraction else rational(a))
+        setfield(self, "b", b if type(b) is Fraction else rational(b))
+        setfield(self, "c", c if type(c) is Fraction else rational(c))
         if self.a == 0:
             raise DegenerateLeadingCoefficient("leading coefficient must be nonzero")
 
@@ -98,25 +99,29 @@ class RootKind(str, enum.Enum):
     COMPLEX_PAIR = "ComplexPair"
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(Record):
     """Classified exact roots; r1 carries the + branch of the radical."""
 
-    kind: RootKind
-    r1: QuadElem
-    r2: QuadElem
+    __slots__ = __match_args__ = ("kind", "r1", "r2")
+
+    def __init__(self, kind: RootKind, r1: QuadElem, r2: QuadElem):
+        setfield(self, "kind", kind)
+        setfield(self, "r1", r1)
+        setfield(self, "r2", r2)
 
     def __iter__(self):
         return iter((self.r1, self.r2))
 
 
-@dataclass(frozen=True)
-class VertexForm:
+class VertexForm(Record):
     """a*(x - h)^2 + k with h = -b/2a, k = (4ac - b^2)/4a."""
 
-    h: Fraction
-    k: Fraction
-    leading: Fraction
+    __slots__ = __match_args__ = ("h", "k", "leading")
+
+    def __init__(self, h: Fraction, k: Fraction, leading: Fraction):
+        setfield(self, "h", h)
+        setfield(self, "k", k)
+        setfield(self, "leading", leading)
 
     def expand(self) -> Quadratic:
         a = self.leading
@@ -155,11 +160,13 @@ def vertex(q: Quadratic) -> VertexForm:
     )
 
 
-@dataclass(frozen=True)
-class FamilyEquation:
-    label: str
-    quadratic: Quadratic
-    roots: RootPair
+class FamilyEquation(Record):
+    __slots__ = __match_args__ = ("label", "quadratic", "roots")
+
+    def __init__(self, label: str, quadratic: Quadratic, roots: RootPair):
+        setfield(self, "label", label)
+        setfield(self, "quadratic", quadratic)
+        setfield(self, "roots", roots)
 
 
 def four_family(p: RatLike, q: RatLike) -> tuple[FamilyEquation, ...]:
@@ -201,14 +208,16 @@ def shift_roots(q: Quadratic, k: RatLike) -> Quadratic:
     )
 
 
-@dataclass(frozen=True)
-class DerivativeDiscriminant:
+class DerivativeDiscriminant(Record):
     """Witnesses that sqrt(disc) equals the derivative at the + root."""
 
-    x1: QuadElem
-    x2: QuadElem
-    sqrt_disc: QuadElem
-    check: bool
+    __slots__ = __match_args__ = ("x1", "x2", "sqrt_disc", "check")
+
+    def __init__(self, x1: QuadElem, x2: QuadElem, sqrt_disc: QuadElem, check: bool):
+        setfield(self, "x1", x1)
+        setfield(self, "x2", x2)
+        setfield(self, "sqrt_disc", sqrt_disc)
+        setfield(self, "check", check)
 
 
 def disc_derivative_identity(q: Quadratic) -> DerivativeDiscriminant:
@@ -232,11 +241,13 @@ class DampingKind(str, enum.Enum):
     OSCILLATORY = "Oscillatory"
 
 
-@dataclass(frozen=True)
-class ModeClassification:
-    kind: DampingKind
-    r1: QuadElem
-    r2: QuadElem
+class ModeClassification(Record):
+    __slots__ = __match_args__ = ("kind", "r1", "r2")
+
+    def __init__(self, kind: DampingKind, r1: QuadElem, r2: QuadElem):
+        setfield(self, "kind", kind)
+        setfield(self, "r1", r1)
+        setfield(self, "r2", r2)
 
 
 _DAMPING = {

@@ -101,21 +101,26 @@ class TestSolveCommand:
         assert envelope["type"] == "InputTooLarge" and str(4 * (10**30 + 57)) in envelope["message"]
 
     def test_solve_loads_only_the_modules_it_runs_in_a_child(self):
+        # what the bare child already holds is left out: site may preload modules on some hosts
         script = (
-            "import json, sys\n"
+            "import sys\n"
+            "bare = set(sys.modules)\n"
             "def package(): return sorted(m for m in sys.modules if m.partition('.')[0] == 'quadratica')\n"
-            "import quadratica.cli\n"
-            "on_import = package()\n"
+            "import quadratica, quadratica.cli\n"
+            "on_import, added = package(), sorted(set(sys.modules) - bare)\n"
             "quadratica.cli.main(['solve', '1', '-1', '-1'])\n"
-            "print(json.dumps([on_import, package()]))\n"
+            "import json\n"
+            "print(json.dumps([on_import, package(), added]))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        on_import, after_solve = json.loads(proc.stdout.splitlines()[-1])
-        modules = ["quadratica"] + [f"quadratica.{name}" for name in ("cli", "errors", "intmath", "qfield", "solver")]
+        on_import, after_solve, added = json.loads(proc.stdout.splitlines()[-1])
+        names = ("_record", "cli", "errors", "intmath", "qfield", "solver")
+        modules = ["quadratica"] + [f"quadratica.{name}" for name in names]
         assert on_import == after_solve == modules
+        assert not {"dataclasses", "inspect", "json", "csv"} & set(added), added
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -361,7 +366,8 @@ class TestGoldbachCommands:
         report = tmp_path / "w.csv"
         code, out, _ = run(capsys, "goldbach", "verify", "--to", "2000", "--report", str(report))
         assert code == 0 and "verified 999" in out
-        rows = list(csv.reader(report.open()))
+        with report.open() as f:
+            rows = list(csv.reader(f))
         assert rows[0] == ["N", "I_min", "p", "q"]
         assert len(rows) == 1000
 
@@ -869,6 +875,7 @@ class TestBrokenPipe:
         finally:
             proc.kill()
             proc.wait()
+            proc.stderr.close()
         assert first.rstrip() == b"x,fx"
         assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
         assert code == 1
