@@ -8,12 +8,13 @@ The search returns the minimal I; the full witness list is available from
 x^2 - (p+q)x + pq whose vertex sits at (M, -I^2), giving the exact area
 bundle A_s = (4/3)I^3, A_r = 2I^3, A_t = I^3.
 
-One sieve is the prime table. Only the range operations, verify_range and
-witnesses, build it; a single search or pair check reads it and never builds
-it, and past its end calls :func:`quadratica.intmath.is_prime`. Inside the
-sieve a search reads 256 candidates I at a time: the sieve bytes of M + I and
-of M - I, each read as one integer, ANDed, give the least I as the lowest set
-bit. Range verification first holds the primes as the bits of one integer P
+One odd-only table is the prime table, flag j for 2j + 3 (2 is answered
+apart). Only the range operations, verify_range and witnesses, build it; a
+single search or pair check reads it and never builds it, and past its end
+calls :func:`quadratica.intmath.is_prime`. Inside the table a search reads
+256 candidates I at a time: the flags of the odd M + I and of M - I are two
+contiguous slices, and their AND gives the least I as the lowest set bit.
+Range verification first holds the primes as the bits of one integer P
 and resolves every N = 2M at once: for I = 0, 1, 2, ... the mask
 (P >> I) & (P << I) marks each M with M + I and M - I both prime, and the
 first I that marks an M is its minimal witness. Each such step costs the
@@ -35,7 +36,7 @@ from typing import Iterator, Optional
 
 from .errors import EmptyInterval, EvenInput, InputTooLarge, InvalidPair, InvalidTarget
 from .errors import NonPositiveParameter, NoWitnessFound, NotCoprime
-from .intmath import PRIME_ARGUMENT_MAX_BITS, is_prime, sieve_flags
+from .intmath import PRIME_ARGUMENT_MAX_BITS, _odd_flags, is_prime
 from .solver import Quadratic
 
 __all__ = [
@@ -53,14 +54,14 @@ __all__ = [
     "verify_range",
 ]
 
-_SIEVE_CAP = 10_000_000  # largest N witnesses() sieves to (10 MB)
+_SIEVE_CAP = 10_000_000  # largest N witnesses() sieves to (a 5 MB table)
 
-# Past the sieve find_witness tests candidates with is_prime. On 20 random even N per
+# Past the table find_witness tests candidates with is_prime. On 20 random even N per
 # size, 256 bits took a median of 0.2-0.4 s and at worst 1.6-2.4 s; 288 bits 2.1-2.7 s.
 _WITNESS_MAX_BITS = 256
 
-# verify_range holds a sieve and three integers of stop bits: `goldbach verify`
-# takes ~1-1.5 s and ~50 MB to 10^7, ~16 s and ~320 MB to 10^8 (2 cores, Python 3.11).
+# verify_range holds the odd table, stop/2 bytes, and integers of up to stop bits: `goldbach verify`
+# takes ~0.7 s and ~30 MB to 10^7, ~9-10 s and ~140 MB to 10^8 (2 cores, Python 3.11).
 _VERIFY_MAX = 10**8
 
 # verify_range sweeps its bitsets while more than count // _SWEEP_RATIO M are unresolved.
@@ -69,9 +70,32 @@ _VERIFY_MAX = 10**8
 # and 1.69 s. 64 is within 13% of the best at 10^6 and the best at 10^7.
 _SWEEP_RATIO = 64
 
-_WINDOW = 256  # candidates I that _least_i reads from the sieve at a time
+_WINDOW = 256  # candidates I that _least_i reads from the table at a time
+_NONZERO = b"\0" + b"\1" * 255  # a translation table: 1 for each nonzero byte
 
-_sieve: bytearray = bytearray()  # _sieve[k] == 1 iff k is prime; built by verify_range and witnesses
+_odd: bytearray = bytearray()  # _odd[j] == 1 iff 2j + 3 is prime; built by verify_range and witnesses
+
+
+def _covers(k: int) -> bool:
+    """Whether the odd table decides every number up to k."""
+    return k < 2 * len(_odd) + 3
+
+
+def _table_prime(k: int) -> bool:
+    """Whether k is prime, read from the odd table; the caller makes sure that _covers(k)."""
+    return _odd[(k - 3) // 2] == 1 if k % 2 and k > 1 else k == 2
+
+
+def _set_bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x >= 0 in increasing order, read from its nonzero bytes."""
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    nonzero = data.translate(_NONZERO)
+    j = -1
+    while (j := nonzero.find(1, j + 1)) >= 0:
+        byte = data[j]
+        while byte:
+            yield 8 * j + (byte & -byte).bit_length() - 1
+            byte &= byte - 1  # clears the lowest set bit
 
 
 def parity_lemma(p: int, q: int) -> tuple[str, str]:
@@ -111,35 +135,31 @@ class GoldbachWitness:
             raise InvalidPair(f"N = p + q = (M + I) + (M - I) fails for {self}")
 
 
-def _witness_iter(n: int) -> Iterator[GoldbachWitness]:
-    prime = _sieve.__getitem__ if n < len(_sieve) else is_prime
-    m = n // 2
-    if prime(m):
-        yield GoldbachWitness(N=n, M=m, I=0, p=m, q=m)
-    start = 1 if m % 2 == 0 else 2
-    for i in range(start, m - 1, 2):
-        if prime(m + i) and prime(m - i):
-            yield GoldbachWitness(N=n, M=m, I=i, p=m + i, q=m - i)
+def _both_prime(m: int, i: int, width: int) -> int:
+    """An integer whose byte j is 1 iff M + I and M - I are both prime, for I = i + 2j and j < width.
+
+    The caller makes sure that the odd table covers 2M, M + i is odd and i < M. The flags from M + I
+    up and those down to M - I are two slices, read little- and big-endian; the lower one stops at
+    index 0, the value 3, rather than wrap to the end of the table.
+    """
+    up, down = (m + i - 3) // 2, (m - i - 3) // 2  # down >= -1, as M - i >= 1
+    return int.from_bytes(_odd[up : up + width], "little") & int.from_bytes(
+        _odd[max(down - width + 1, 0) : down + 1], "big"
+    )
 
 
 def _least_i(m: int, i: int) -> int:
-    """Least I >= i of i's parity with M - I and M + I both prime, read from the sieve.
+    """Least I >= i of i's parity with M - I and M + I both prime, read from the odd table.
 
-    The caller makes sure that the sieve covers 2M. A window of _WINDOW
-    candidates starting at I = i is two slices of the sieve, at M + I and at
-    M - I, each read as an integer whose byte j stands for I = i + 2j; the
-    lowest bit of their AND is the least I in the window. Raises
-    NoWitnessFound when no I < M is left: a slice that started below index 0
-    would wrap to the end of the sieve.
+    The caller makes sure that the table covers 2M and that M + i is odd. The
+    lowest set bit of :func:`_both_prime` over _WINDOW candidates from I = i
+    is the least I among them. Raises NoWitnessFound when no I < M is left.
     """
-    span = 2 * _WINDOW
     while i < m:
-        both = int.from_bytes(_sieve[m + i : m + i + span : 2], "little") & int.from_bytes(
-            _sieve[m - i : max(m - i - span, 0) : -2], "little"
-        )
+        both = _both_prime(m, i, _WINDOW)
         if both:
             return i + 2 * ((both & -both).bit_length() // 8)  # byte j sets bit 8j
-        i += span
+        i += 2 * _WINDOW
     raise NoWitnessFound(f"no witness below M for N={2 * m}: Goldbach counterexample?")
 
 
@@ -150,7 +170,7 @@ def find_witness(n: int) -> GoldbachWitness:
     one decomposition that leaves the odd-prime setting); otherwise I runs
     over the parity class opposite M. Exhausting I < M raises
     NoWitnessFound, which would be a Goldbach counterexample and is worth
-    shouting about. The search reads the sieve and never builds it. Inside
+    shouting about. The search reads the table and never builds it. Inside
     it, :func:`_least_i` reads a window of candidates at a time; past its
     end, each candidate gets a primality test, so memory stays bounded, and
     n of more than _WITNESS_MAX_BITS bits is refused before the first.
@@ -159,25 +179,30 @@ def find_witness(n: int) -> GoldbachWitness:
         raise InvalidTarget(f"witness targets are even n >= 4, got {n}")
     if n.bit_length() > _WITNESS_MAX_BITS:
         raise InputTooLarge(f"witness targets have at most {_WITNESS_MAX_BITS} bits, got {n.bit_length()}")
-    if n < len(_sieve):
-        m = n // 2
-        i = 0 if _sieve[m] else _least_i(m, 1 if m % 2 == 0 else 2)
+    m, start = n // 2, 1 if n % 4 == 0 else 2  # the least I of the parity opposite M
+    if _covers(n):
+        i = 0 if _table_prime(m) else _least_i(m, start)
         return GoldbachWitness(N=n, M=m, I=i, p=m + i, q=m - i)
-    for witness in _witness_iter(n):
-        return witness
+    if is_prime(m):
+        return GoldbachWitness(N=n, M=m, I=0, p=m, q=m)
+    for i in range(start, m - 1, 2):
+        if is_prime(m + i) and is_prime(m - i):
+            return GoldbachWitness(N=n, M=m, I=i, p=m + i, q=m - i)
     raise NoWitnessFound(f"no witness below M for N={n}: Goldbach counterexample?")
 
 
 def witnesses(n: int) -> list[GoldbachWitness]:
-    """Every witness of n in increasing I order, from the sieve grown to n <= _SIEVE_CAP."""
-    global _sieve
+    """Every witness of n in increasing I order, from the table grown to n <= _SIEVE_CAP."""
+    global _odd
     if n > _SIEVE_CAP:
         raise InputTooLarge(f"witness --all needs N <= {_SIEVE_CAP}, got {n}")
     if n < 4 or n % 2:
         raise InvalidTarget(f"witness targets are even n >= 4, got {n}")
-    if len(_sieve) <= n:
-        _sieve = sieve_flags(n)
-    return list(_witness_iter(n))
+    if not _covers(n):
+        _odd = _odd_flags(2, n + 1)
+    m, start = n // 2, 1 if n % 4 == 0 else 2
+    found = ([0] if _table_prime(m) else []) + [start + 2 * (k // 8) for k in _set_bits(_both_prime(m, start, m))]
+    return [GoldbachWitness(N=n, M=m, I=i, p=m + i, q=m - i) for i in found]
 
 
 @dataclass(frozen=True)
@@ -190,14 +215,14 @@ class WitnessParabola:
 
 
 def _check_pair(p: int, q: int) -> None:
-    """Raise InvalidPair unless p >= q are odd primes; the sieve decides when it covers p.
+    """Raise InvalidPair unless p >= q are odd primes; the table decides when it covers p.
 
     Either of more than PRIME_ARGUMENT_MAX_BITS bits raises InputTooLarge before any test.
     """
     bits = max(p.bit_length(), q.bit_length())
     if bits > PRIME_ARGUMENT_MAX_BITS:
         raise InputTooLarge(f"pair primes have at most {PRIME_ARGUMENT_MAX_BITS} bits, got {bits}")
-    prime = _sieve.__getitem__ if p < len(_sieve) else is_prime
+    prime = _table_prime if _covers(p) else is_prime
     if p < q or q < 3 or p % 2 == 0 or q % 2 == 0 or not (prime(p) and prime(q)):
         raise InvalidPair(f"need odd primes p >= q, got ({p}, {q})")
 
@@ -304,15 +329,6 @@ class VerifySummary:
     histogram: tuple[tuple[int, int], ...] = ()  # (I, how many N have minimal witness I)
 
 
-def _mark(i_min: array, mask: int, i: int) -> None:
-    """Set i_min[k] = i for every set bit k of mask."""
-    bits = format(mask, "b")[::-1]  # bits[k] is bit k
-    k = bits.find("1")
-    while k >= 0:
-        i_min[k] = i
-        k = bits.find("1", k + 1)
-
-
 def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> VerifySummary:
     """Find the minimal-I witness for every even N in [start, stop].
 
@@ -331,9 +347,9 @@ def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> V
     stragglers' I and written in N order. Raises NoWitnessFound, naming the
     smallest N with no witness below M, i.e. never. A stop past _VERIFY_MAX
     raises InputTooLarge before csv_path is opened: a refused range never
-    creates or truncates it, and an unwritable one fails before the sieve.
+    creates or truncates it, and an unwritable one fails before the table.
     """
-    global _sieve
+    global _odd
     if stop > _VERIFY_MAX:
         raise InputTooLarge(f"range verification stops at <= {_VERIFY_MAX}, got {stop}")
     if start % 2:
@@ -343,9 +359,13 @@ def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> V
         raise EmptyInterval("empty range")
     with open(csv_path, "w", newline="") if csv_path else nullcontext() as handle:
         t0 = time.perf_counter()
-        if len(_sieve) <= stop:
-            _sieve = sieve_flags(stop)
-        primes = int(_sieve[: stop + 1].translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
+        if not _covers(stop):
+            _odd = _odd_flags(2, stop + 1)
+        n_odd = (stop - 1) // 2  # flags 0 .. n_odd - 1 are the odd 3 .. stop; a longer table is sliced, else not copied
+        digits = (_odd[:n_odd] if len(_odd) > n_odd else _odd).translate(bytes.maketrans(b"\0\1", b"01"))
+        digits.reverse()
+        primes = int(digits, 4) << 3 | 4  # base-4 digit j is bit 2j, so flag j sets bit 2j + 3; bit 2 is 2
+        del digits
         m_lo, m_hi = start // 2, stop // 2
         count = m_hi - m_lo + 1
         low_primes = primes & ((2 << m_hi) - 1)  # M - I <= m_hi
@@ -367,21 +387,19 @@ def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> V
                 histogram.append((i, resolved))
                 last = found
                 if i_min is not None:
-                    _mark(i_min, found >> m_lo, i)
+                    for k in _set_bits(found >> m_lo):
+                        i_min[k] = i
             i += 1
         max_i, n_at_max_i = histogram[-1][0], 2 * ((last & -last).bit_length() - 1)
 
         stragglers: dict[int, int] = {}  # I -> how many stragglers have it
-        bits = format(unresolved, "b")[::-1]  # bits[M] is bit M
-        m = bits.find("1")
-        while m >= 0:
+        for m in _set_bits(unresolved):
             m_i = _least_i(m, i + (m + i + 1) % 2)  # from the first untried I of M's other parity
             stragglers[m_i] = stragglers.get(m_i, 0) + 1
             if m_i > max_i:
                 max_i, n_at_max_i = m_i, 2 * m
             if i_min is not None:
                 i_min[m - m_lo] = m_i
-            m = bits.find("1", m + 1)
         histogram.extend(sorted(stragglers.items()))
 
         if handle:

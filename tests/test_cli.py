@@ -897,8 +897,8 @@ class TestOSErrors:
             raise AssertionError("the scan ran")
 
         # verify_range opens the report itself; with an empty prime table, a scan would sieve first
-        monkeypatch.setattr(goldbach, "_sieve", bytearray())
-        monkeypatch.setattr(goldbach, "sieve_flags", scan)
+        monkeypatch.setattr(goldbach, "_odd", bytearray())
+        monkeypatch.setattr(goldbach, "_odd_flags", scan)
         report = str(tmp_path / "missing" / "x.csv")
         code, out, err = run(capsys, "goldbach", "verify", "--report", report, "--json")
         assert code == 1 and out == "" and json.loads(err)["error"]["type"] == "FileNotFoundError"

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -35,11 +36,15 @@ from quadratica.goldbach import (
     witness_parabola,
     witnesses,
 )
-from quadratica.intmath import is_prime, sieve_flags
+from quadratica.intmath import _odd_flags, is_prime, sieve_flags
 from quadratica.solver import Quadratic, solve
 
 FLAGS = sieve_flags(10_000)
 ODD_PRIMES = [p for p in range(3, 10_000) if FLAGS[p]]
+
+
+def trial_division_prime(k):
+    return k > 1 and all(k % d for d in range(2, int(k**0.5) + 1))
 
 
 def brute_min_i(flags, n):
@@ -131,8 +136,8 @@ class TestFindWitness:
             find_witness(2**cap)
 
     def test_exhausted_search_raises(self, monkeypatch):
-        # a sieve with no primes at all forces the counterexample branch
-        monkeypatch.setattr(goldbach, "_sieve", bytearray(12))
+        # a table with no primes at all forces the counterexample branch
+        monkeypatch.setattr(goldbach, "_odd", bytearray(5))
         with pytest.raises(NoWitnessFound):
             find_witness(10)
 
@@ -165,7 +170,7 @@ class TestFindWitness:
 
     def test_scan_matches_brute_force_inside_the_sieve(self, monkeypatch, scans):
         flags = sieve_flags(20_002)
-        monkeypatch.setattr(goldbach, "_sieve", flags)
+        monkeypatch.setattr(goldbach, "_odd", _odd_flags(2, 20_003))
         for n in range(4, 20_001, 2):
             w = find_witness(n)
             assert (w.N, w.I) == (n, brute_min_i(flags, n))
@@ -173,7 +178,7 @@ class TestFindWitness:
 
     def test_scan_crosses_window_edges(self, monkeypatch, scans):
         flags = sieve_flags(10**6)
-        monkeypatch.setattr(goldbach, "_sieve", flags)
+        monkeypatch.setattr(goldbach, "_odd", _odd_flags(2, 10**6 + 1))
         w = find_witness(742856)  # I = 1281 is in the third window of 256 candidates from I = 1
         assert (w.I, w.p, w.q) == (1281, 372709, 370147) and brute_min_i(flags, 742856) == 1281
         w = find_witness(138668)  # I = 513 opens the second window
@@ -181,41 +186,78 @@ class TestFindWitness:
         assert scans == [(371428, 1), (69334, 1)]
 
     def test_scan_stops_below_m_instead_of_wrapping(self, monkeypatch):
-        # only the sieve's last entries say prime: a slice from a negative
-        # index would read them as M - I for I > M
-        doctored = bytearray(1000)
-        doctored[400:] = b"\1" * 600
-        monkeypatch.setattr(goldbach, "_sieve", doctored)
+        # only the table's last entries, for 403 .. 999, say prime: a slice
+        # from a negative index would read them as M - I for I > M
+        doctored = bytearray(500)
+        doctored[200:] = b"\1" * 300
+        monkeypatch.setattr(goldbach, "_odd", doctored)
         with pytest.raises(NoWitnessFound, match="N=10:"):
             find_witness(10)
-        with pytest.raises(NoWitnessFound, match="N=10:"):
-            goldbach._least_i(5, 7)
+        for i in (2, 4, 6, 7):
+            with pytest.raises(NoWitnessFound, match="N=10:"):
+                goldbach._least_i(5, i)
+
+    def test_table_reader_matches_trial_division(self, monkeypatch):
+        monkeypatch.setattr(goldbach, "_odd", _odd_flags(2, 3001))
+        assert goldbach._covers(2999) and not goldbach._covers(3003)
+        assert [k for k in range(3000) if goldbach._table_prime(k)] == [
+            k for k in range(3000) if trial_division_prime(k)
+        ]
+
+    @pytest.mark.parametrize("table", [bytearray(), _odd_flags(2, 101)])
+    def test_smallest_targets(self, monkeypatch, table):
+        # 4 = 2 + 2 needs the even prime, which the odd table answers apart; 6 = 3 + 3 needs flag 0
+        monkeypatch.setattr(goldbach, "_odd", table)
+        expected = {4: (0, 2, 2), 6: (0, 3, 3), 8: (1, 5, 3)}
+        assert {n: (w.I, w.p, w.q) for n in expected for w in [find_witness(n)]} == expected
+        assert [(w.N, w.I) for n in expected for w in witnesses(n)] == [(4, 0), (6, 0), (8, 1)]
+        assert verify_range(8).histogram == ((0, 2), (1, 1))
+
+    def test_scan_windows_crossing_the_low_end(self, monkeypatch):
+        # for M up to 2 * 256 + 5 the lower slice of the first window, and of
+        # later ones, starts at index 0, in a table longer than a window
+        monkeypatch.setattr(goldbach, "_odd", _odd_flags(2, 10_001))
+        for m in range(3, 2 * 256 + 6):
+            found = [i for i in range(m) if FLAGS[m + i] and FLAGS[m - i]]
+            for start in range(1 if m % 2 == 0 else 2, m + 2, 2):
+                later = [i for i in found if i >= start]
+                if later:
+                    assert goldbach._least_i(m, start) == later[0], (m, start)
+                else:
+                    with pytest.raises(NoWitnessFound, match=f"N={2 * m}:"):
+                        goldbach._least_i(m, start)
+
+    def test_witness_lists_match_brute_force(self):
+        for n in range(4, 2000, 2):
+            m = n // 2
+            expected = [(i, m + i, m - i) for i in range(m) if FLAGS[m + i] and FLAGS[m - i]]
+            assert [(w.I, w.p, w.q) for w in witnesses(n)] == expected, n
 
     def test_beyond_sieve_cap_leaves_sieve_alone(self):
-        # a single search reads the sieve and never grows it; past its end
-        # (a terabyte at 10^12) candidates are tested one by one
+        # a single search reads the table and never grows it; past its end
+        # (half a terabyte at 10^12) candidates are tested one by one
         for n in (24, 10**6 + 2, 10**12 + 2):
-            before = len(goldbach._sieve)
+            before = len(goldbach._odd)
             w = find_witness(n)
-            assert len(goldbach._sieve) == before
+            assert len(goldbach._odd) == before
             assert w.p + w.q == n and is_prime(w.p) and is_prime(w.q)
             for i in range(w.I % 2, w.I, 2):
                 assert not (is_prime(w.M + i) and is_prime(w.M - i))
 
     def test_covering_sieve_decides_without_primality_tests(self, monkeypatch):
         def refuse(n):
-            raise AssertionError(f"is_prime({n}) called with the sieve covering it")
+            raise AssertionError(f"is_prime({n}) called with the table covering it")
 
-        monkeypatch.setattr(goldbach, "_sieve", sieve_flags(100))
+        monkeypatch.setattr(goldbach, "_odd", _odd_flags(2, 101))
         monkeypatch.setattr(goldbach, "is_prime", refuse)
         assert (find_witness(24).p, witness_areas(17, 7).I, witness_parabola(17, 7).vertex_y) == (13, 5, -25)
         with pytest.raises(InvalidPair):
             witness_parabola(9, 3)
         with pytest.raises(InvalidPair):
-            witness_areas(-3, -5)  # negative numbers never index the sieve from its end
+            witness_areas(-3, -5)  # negative numbers never index the table from its end
 
     def test_pair_check_past_the_sieve_tests_primality(self, monkeypatch):
-        monkeypatch.setattr(goldbach, "_sieve", bytearray())
+        monkeypatch.setattr(goldbach, "_odd", bytearray())
         assert witness_areas(17, 7).I == 5
         with pytest.raises(InvalidPair):
             witness_parabola(9, 3)
@@ -231,7 +273,7 @@ class TestFindWitness:
             "except InputTooLarge as exc:\n"
             "    print(type(exc).__name__, exc)\n"
             "w = goldbach.find_witness(9999998)\n"
-            "print(w.p, w.q, len(goldbach._sieve))\n"
+            "print(w.p, w.q, len(goldbach._odd))\n"
         )
         src = str(Path(goldbach.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -432,11 +474,11 @@ class TestVerifyRange:
         assert summary.n_at_max_i == min(n for n, i, _, _ in rows if i == summary.max_i)
 
     def test_stop_capped_before_the_sieve_and_the_report(self, tmp_path, monkeypatch):
-        def refuse(limit):
+        def refuse(lo, hi):
             raise AssertionError("sieved past the cap")
 
-        monkeypatch.setattr(goldbach, "_sieve", bytearray())
-        monkeypatch.setattr(goldbach, "sieve_flags", refuse)
+        monkeypatch.setattr(goldbach, "_odd", bytearray())
+        monkeypatch.setattr(goldbach, "_odd_flags", refuse)
         path = tmp_path / "witnesses.csv"
         with pytest.raises(InputTooLarge, match=f"<= {10**8}, got {10**8 + 2}"):
             verify_range(10**8 + 2, csv_path=str(path))
@@ -447,23 +489,35 @@ class TestVerifyRange:
             verify_range(3, csv_path=str(path))
         assert path.read_text() == "kept\n"
 
+    def test_cold_range_peak_memory(self, monkeypatch):
+        # one stop/2-byte odd table and one stop/2-byte digit string, never a byte per integer
+        stop = 10**6
+        monkeypatch.setattr(goldbach, "_odd", bytearray())
+        tracemalloc.start()
+        try:
+            verify_range(stop)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * stop, peak / stop
+
     def test_doctored_sieve_raises(self, monkeypatch):
         # with 3 marked composite, N = 6 = 3 + 3 loses its only witness
         from quadratica import goldbach
 
-        doctored = sieve_flags(2000)
-        doctored[3] = 0
-        monkeypatch.setattr(goldbach, "_sieve", doctored)
+        doctored = _odd_flags(2, 2001)
+        doctored[0] = 0  # flag 0 is 3
+        monkeypatch.setattr(goldbach, "_odd", doctored)
         with pytest.raises(NoWitnessFound, match="N=6:"):
             verify_range(100)
 
     def test_doctored_sieve_raises_from_the_scan(self, monkeypatch, scans):
         # the sweep leaves N = 6 to the scan, which starts past M = 3 and must
-        # raise, not read the sieve's end, where every entry says prime
-        doctored = sieve_flags(12_000)
-        doctored[3] = 0
-        doctored[10_001:] = b"\1" * (len(doctored) - 10_001)
-        monkeypatch.setattr(goldbach, "_sieve", doctored)
+        # raise, not read the table's end, where every flag from 10 001 on says prime
+        doctored = _odd_flags(2, 12_001)
+        doctored[0] = 0  # flag 0 is 3
+        doctored[4999:] = b"\1" * (len(doctored) - 4999)  # flag 4999 is 10 001
+        monkeypatch.setattr(goldbach, "_odd", doctored)
         with pytest.raises(NoWitnessFound, match="N=6:"):
             verify_range(10_000)
         assert scans[0][0] == 3 and scans[0][1] > 3
