@@ -14,9 +14,9 @@ single search or pair check reads it and never builds it, and past its end
 calls :func:`quadratica.intmath.is_prime`. Inside the table a search reads
 256 candidates I at a time: the flags of the odd M + I and of M - I are two
 contiguous slices, and their AND gives the least I as the lowest set bit.
-Range verification first holds the primes as the bits of one integer P
-and resolves every N = 2M at once: for I = 0, 1, 2, ... the mask
-(P >> I) & (P << I) marks each M with M + I and M - I both prime, and the
+Range verification holds the odd primes as the bits of one integer, bit t
+for 2t + 1, and resolves every N = 2M at once: step I = 0, 1, 2, ... marks
+each M of the parity opposite I with M + I and M - I both prime, and the
 first I that marks an M is its minimal witness. Each such step costs the
 whole range, so once few M are left unresolved the sweep stops and each of
 those stragglers gets the search above instead.
@@ -24,13 +24,14 @@ those stragglers gets the search above instead.
 
 from __future__ import annotations
 
-import csv
 import enum
 import time
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
+from itertools import islice
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
@@ -60,15 +61,15 @@ _SIEVE_CAP = 10_000_000  # largest N witnesses() sieves to (a 5 MB table)
 # size, 256 bits took a median of 0.2-0.4 s and at worst 1.6-2.4 s; 288 bits 2.1-2.7 s.
 _WITNESS_MAX_BITS = 256
 
-# verify_range holds the odd table, stop/2 bytes, and integers of up to stop bits: `goldbach verify`
-# takes ~0.7 s and ~30 MB to 10^7, ~9-10 s and ~140 MB to 10^8 (2 cores, Python 3.11).
+# verify_range holds the odd table, stop/2 bytes, and integers of up to stop/2 bits: `goldbach verify`
+# takes ~0.35 s and ~28 MB to 10^7, ~4.1-4.2 s and ~131 MB to 10^8 (2 cores, Python 3.11).
 _VERIFY_MAX = 10**8
 
-# verify_range sweeps its bitsets while more than count // _SWEEP_RATIO M are unresolved.
-# Medians of 7 cold runs (2 cores, Python 3.11) at ratios 32, 64, 128, 256: 0.131, 0.103,
-# 0.091, 0.093 s to 10^6 and 0.95, 0.82, 0.85, 0.86 s to 10^7; a sweep to the end took 0.173
-# and 1.69 s. 64 is within 13% of the best at 10^6 and the best at 10^7.
-_SWEEP_RATIO = 64
+# verify_range sweeps while more than count // _SWEEP_RATIO M are unresolved. Medians of cold runs
+# (2 cores, Python 3.11) at ratios 64, 128, 256, 512, 1024: 30.7, 23.6, 20.4, 19.2, 20.1 ms to 10^6
+# (9 runs), 0.364, 0.292, 0.279, 0.278, 0.290 s to 10^7 (7 runs); 4.12, 4.02, 4.25 s to 10^8 at 128,
+# 256, 512 (3 runs). 256 is the best at 10^8 and within 6% of the best at each size.
+_SWEEP_RATIO = 256
 
 _WINDOW = 256  # candidates I that _least_i reads from the table at a time
 _NONZERO = b"\0" + b"\1" * 255  # a translation table: 1 for each nonzero byte
@@ -332,22 +333,25 @@ class VerifySummary:
 def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> VerifySummary:
     """Find the minimal-I witness for every even N in [start, stop].
 
-    One process, two phases. The sweep works on whole-range bitsets: bit k
-    of `primes` is set iff k is prime, and bit M of `unresolved` marks an
-    N = 2M still without a witness. For I = 0, 1, 2, ... the mask
-    found = unresolved & (primes >> I) & (primes << I) holds exactly the M
-    whose minimal witness is I, and those bits leave `unresolved`;
-    found.bit_count() is I's entry in the histogram. A step costs the whole
-    range however few M are left, so the sweep stops once at most
-    count // _SWEEP_RATIO remain, and :func:`_least_i` scans for each of
-    those stragglers, in increasing M, from the first I of its parity that
-    the sweep has not tried. Their I close the histogram. n_at_max_i is the
-    smallest N whose minimal witness is max_i. When csv_path is given, the
-    rows N, I_min, p, q are decoded from the sweep's masks and the
-    stragglers' I and written in N order. Raises NoWitnessFound, naming the
-    smallest N with no witness below M, i.e. never. A stop past _VERIFY_MAX
-    raises InputTooLarge before csv_path is opened: a refused range never
-    creates or truncates it, and an unwritable one fails before the table.
+    One process, two phases. The sweep works on half-range bitsets: bit t
+    of `odd` is set iff 2t + 1 is prime, and bit t of unresolved[c] marks
+    an N = 2M with M = 2t + c still without a witness. M + I is odd, so
+    step I = 0, 1, 2, ... takes the class c opposite I: with u = I // 2,
+    found = unresolved[c] & (odd >> u) & (odd << (u + 1 - c)) holds exactly
+    the M of class c whose minimal witness is I, and those bits leave
+    unresolved[c]; found.bit_count() is I's entry in the histogram. N = 4
+    = 2 + 2, the one witness with the even prime, is counted apart at I = 0.
+    A step costs bits for a quarter of the range however few M are left, so
+    the sweep stops once at most count // _SWEEP_RATIO remain, and
+    :func:`_least_i` scans for each of those stragglers, in increasing M,
+    from the first I of its parity that the sweep has not tried. Their I
+    close the histogram. n_at_max_i is the smallest N whose minimal witness
+    is max_i. When csv_path is given, the rows N, I_min, p, q are decoded
+    from the sweep's masks and the stragglers' I and written in N order.
+    Raises NoWitnessFound, naming the smallest N with no witness below M,
+    i.e. never. A stop past _VERIFY_MAX raises InputTooLarge before csv_path
+    is opened: a refused range never creates or truncates it, and an
+    unwritable one fails before the table.
     """
     global _odd
     if stop > _VERIFY_MAX:
@@ -364,48 +368,60 @@ def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> V
         n_odd = (stop - 1) // 2  # flags 0 .. n_odd - 1 are the odd 3 .. stop; a longer table is sliced, else not copied
         digits = (_odd[:n_odd] if len(_odd) > n_odd else _odd).translate(bytes.maketrans(b"\0\1", b"01"))
         digits.reverse()
-        primes = int(digits, 4) << 3 | 4  # base-4 digit j is bit 2j, so flag j sets bit 2j + 3; bit 2 is 2
+        odd = int(digits, 2) << 1  # bit t is 2t + 1: flag j sets bit j + 1
         del digits
         m_lo, m_hi = start // 2, stop // 2
         count = m_hi - m_lo + 1
-        low_primes = primes & ((2 << m_hi) - 1)  # M - I <= m_hi
-        unresolved = ((1 << count) - 1) << m_lo
-        remaining = count
-        i_min = array("I", [0]) * count if csv_path else None
-        histogram = []
-        last = 0
-        i = 0
+        lo, hi = [(m_lo + 1) // 2, m_lo // 2], [m_hi // 2, (m_hi - 1) // 2]
+        unresolved = [(2 << hi[c]) - (1 << lo[c]) for c in (0, 1)]
+        four = m_lo == 2  # N = 4 = 2 + 2 takes I = 0 apart, as 2 has no bit in `odd`
+        unresolved[0] ^= four << 1  # bit 1 is M = 2
+        remaining = count - four
+        i_min = array("H", [0]) * count if csv_path else None
+        counts = {0: 1} if four else {}  # I -> how many N have it as their minimal witness
+        max_i, n_at_max_i = (0, 4) if four else (-1, 0)
+        last = span = i = 0
         while remaining > count // _SWEEP_RATIO:
             if i > m_hi:
-                n = 2 * ((unresolved & -unresolved).bit_length() - 1)
+                n = min(2 * (2 * (bits & -bits).bit_length() - 2 + c) for c, bits in enumerate(unresolved) if bits)
                 raise NoWitnessFound(f"no witness below M for N={n}: Goldbach counterexample?")
-            found = unresolved & (primes >> i) & (low_primes << i)
+            # I = 2u takes M = 2t + 1 to bits t + u, t - u; I = 2u + 1 takes M = 2t to t + u, t - u - 1.
+            # Both read `high`, `odd` cut to the bits M + I reaches for u < span, shifted once per u.
+            c, u = 1 - i % 2, i // 2
+            if c:
+                if u >= span:
+                    span = 4 * span + 256
+                    high = odd & ((2 << (hi[0] + span)) - 1)
+                up = high >> u
+            found = unresolved[c] & up & (high << (u + 1 - c))
             if found:
-                unresolved ^= found
+                unresolved[c] ^= found
                 resolved = found.bit_count()
                 remaining -= resolved
-                histogram.append((i, resolved))
-                last = found
+                counts[i] = counts.get(i, 0) + resolved
+                last_i, last_c, last = i, c, found
                 if i_min is not None:
-                    for k in _set_bits(found >> m_lo):
-                        i_min[k] = i
+                    base = 2 * lo[c] + c - m_lo
+                    for k in _set_bits(found >> lo[c]):
+                        i_min[2 * k + base] = i
             i += 1
-        max_i, n_at_max_i = histogram[-1][0], 2 * ((last & -last).bit_length() - 1)
+        if last and last_i > max_i:
+            max_i, n_at_max_i = last_i, 2 * (2 * (last & -last).bit_length() - 2 + last_c)
 
-        stragglers: dict[int, int] = {}  # I -> how many stragglers have it
-        for m in _set_bits(unresolved):
+        # the stragglers of both classes in increasing M
+        for m in merge((2 * t for t in _set_bits(unresolved[0])), (2 * t + 1 for t in _set_bits(unresolved[1]))):
             m_i = _least_i(m, i + (m + i + 1) % 2)  # from the first untried I of M's other parity
-            stragglers[m_i] = stragglers.get(m_i, 0) + 1
+            counts[m_i] = counts.get(m_i, 0) + 1
             if m_i > max_i:
                 max_i, n_at_max_i = m_i, 2 * m
             if i_min is not None:
                 i_min[m - m_lo] = m_i
-        histogram.extend(sorted(stragglers.items()))
 
         if handle:
-            writer = csv.writer(handle)
-            writer.writerow(["N", "I_min", "p", "q"])
-            writer.writerows((2 * m, i, m + i, m - i) for m, i in zip(range(m_lo, m_hi + 1), i_min))
+            rows = (f"{2 * m},{i},{m + i},{m - i}\r\n" for m, i in zip(range(m_lo, m_hi + 1), i_min))
+            handle.write("N,I_min,p,q\r\n")
+            while batch := "".join(islice(rows, 1 << 16)):
+                handle.write(batch)
     return VerifySummary(
         start=start,
         stop=stop,
@@ -414,5 +430,5 @@ def verify_range(stop: int, start: int = 4, csv_path: Optional[str] = None) -> V
         n_at_max_i=n_at_max_i,
         elapsed=time.perf_counter() - t0,
         csv_path=csv_path,
-        histogram=tuple(histogram),
+        histogram=tuple(sorted(counts.items())),
     )

@@ -1,6 +1,7 @@
 """Goldbach witnesses, witness parabolas, areas, and hypotenuse numbers."""
 
 import csv
+import io
 import os
 import random
 import subprocess
@@ -472,6 +473,74 @@ class TestVerifyRange:
         assert summary.histogram == tuple(sorted(Counter(i for _, i, _, _ in rows).items()))
         assert summary.max_i == max(i for _, i, _, _ in rows)
         assert summary.n_at_max_i == min(n for n, i, _, _ in rows if i == summary.max_i)
+
+    def test_every_small_range_matches_brute_force(self, monkeypatch):
+        # every even start and stop up to 400 mixes the two parity classes of M in every way; the
+        # reports are caught in memory, as 19 900 files would take seconds
+        flags = sieve_flags(400)
+        least = {n: brute_min_i(flags, n) for n in range(4, 401, 2)}
+        rows = {n: ",".join(map(str, (n, i, n // 2 + i, n // 2 - i))) for n, i in least.items()}
+        reports = []
+
+        class Report(io.StringIO):
+            def close(self):
+                reports.append(self.getvalue())
+                super().close()
+
+        monkeypatch.setattr(goldbach, "_odd", bytearray())
+        monkeypatch.setattr(goldbach, "open", lambda path, mode, newline: Report(newline=newline), raising=False)
+        for start in range(4, 401, 2):
+            for stop in range(start, 401, 2):
+                summary = verify_range(stop, start=start, csv_path="report.csv")
+                evens = range(start, stop + 1, 2)
+                max_i = max(least[n] for n in evens)
+                expected = (
+                    len(evens),
+                    max_i,
+                    min(n for n in evens if least[n] == max_i),
+                    tuple(sorted(Counter(least[n] for n in evens).items())),
+                )
+                assert (summary.count, summary.max_i, summary.n_at_max_i, summary.histogram) == expected
+                assert reports.pop().split("\r\n") == ["N,I_min,p,q", *(rows[n] for n in evens), ""], (start, stop)
+        assert not reports
+
+    # N = 4k has M even and N = 4k + 2 has M odd, so each range holds one class of M only
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14, 128, 130, 9998, 10_000, 49_552, 61_998, 62_000])
+    def test_one_parity_class(self, tmp_path, n):
+        path = tmp_path / "witnesses.csv"
+        summary = verify_range(n, start=n, csv_path=str(path))
+        i = brute_min_i(sieve_flags(n), n)
+        assert (summary.count, summary.max_i, summary.n_at_max_i, summary.histogram) == (1, i, n, ((i, 1),))
+        with open(path, newline="") as handle:
+            assert list(csv.reader(handle)) == [["N", "I_min", "p", "q"], [str(n), str(i), str(n // 2 + i), str(n // 2 - i)]]
+
+    def test_four_and_six_tie_at_zero(self):
+        # 4 = 2 + 2 is counted apart from the sweep, whose I = 0 finds 6 = 3 + 3; the smaller N is named
+        flags = sieve_flags(6)
+        assert brute_min_i(flags, 4) == brute_min_i(flags, 6) == 0
+        summary = verify_range(6)
+        assert (summary.count, summary.max_i, summary.n_at_max_i, summary.histogram) == (2, 0, 4, ((0, 2),))
+        assert verify_range(6, start=6).n_at_max_i == 6
+        assert verify_range(8).n_at_max_i == 8
+
+    # 3 marked composite leaves N = 6 (M = 3, odd) and 8 (M = 4, even) without a witness; 7 and 11
+    # leave N = 12 (M = 6) and 14 (M = 7), bit 3 of each class. To 100 the sweep runs to its end and
+    # raises; to 2000 it stops first and the scan of the stragglers raises.
+    @pytest.mark.parametrize("composite", [(3,), (7, 11)])
+    @pytest.mark.parametrize("stop", [100, 2000])
+    def test_doctored_table_names_the_smallest_n_of_either_class(self, monkeypatch, scans, composite, stop):
+        flags = sieve_flags(stop)
+        doctored = _odd_flags(2, stop + 1)
+        for p in composite:
+            flags[p] = doctored[(p - 3) // 2] = 0
+        bare = [n for n in range(4, stop + 1, 2) if not any(flags[n // 2 + i] and flags[n // 2 - i] for i in range(n // 2))]
+        assert len(bare) == 2 and bare[0] // 2 % 2 != bare[1] // 2 % 2
+        monkeypatch.setattr(goldbach, "_odd", doctored)
+        with pytest.raises(NoWitnessFound, match=f"N={bare[0]}:"):
+            verify_range(stop)
+        assert bool(scans) == (stop == 2000)
+        with pytest.raises(NoWitnessFound, match=f"N={bare[1]}:"):
+            verify_range(stop, start=bare[0] + 2)
 
     def test_stop_capped_before_the_sieve_and_the_report(self, tmp_path, monkeypatch):
         def refuse(lo, hi):
